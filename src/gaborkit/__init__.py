@@ -32,6 +32,7 @@ from .lattice import (
 )
 from .operators import (
     LatticeCoefficients,
+    SystemSpectra,
     Window,
     analysis_matrix,
     atom_stack,

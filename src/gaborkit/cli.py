@@ -3,7 +3,7 @@
 Subcommands: analyze, sweep, gallery, dual, kernel.  Exit codes: 0 = ran
 (and any equivalence verdicts were consistent), 2 = ran but an equivalence
 verdict was inconsistent beyond the marginal band (a harness alarm), 1 =
-configuration or runtime error.
+usage, configuration or runtime error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from .reporting import (
     sweep,
 )
 from .tolerances import DEFAULT_TOL_SCALE
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 is kept for a harness alarm."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_lattice(text):
@@ -61,7 +69,7 @@ def _add_common(parser, lattice=True):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaborkit",
         description="Frame diagnostics for time-frequency shift systems on Z_L",
     )
@@ -81,7 +89,6 @@ def build_parser():
         "--pairs", default="", metavar="a1,b1;a2,b2",
         help="lattice grid; default: all divisor pairs of L",
     )
-    sweep_p.add_argument("--jobs", type=int, default=1, help="thread pool size for rows")
 
     gallery = sub.add_parser("gallery", help="run the counterexample gallery")
     gallery.add_argument("--out", default="", help="JSON output path")
@@ -133,7 +140,7 @@ def main(argv=None) -> int:
                 kwargs["seed"] = args.seed
             base = AnalysisConfig(**kwargs)
             pairs = _parse_pairs(args.pairs) if args.pairs else None
-            rows = sweep(base, pairs, jobs=args.jobs)
+            rows = sweep(base, pairs)
             if not args.out:
                 print(json.dumps(jsonable(rows), indent=2, sort_keys=True))
             alarm = any((not row["consistent"]) and (not row["marginal"]) for row in rows)

@@ -14,7 +14,8 @@ Tolerances: every check reduces to a dimensionless margin (sigma_min over
 sigma_max for first-order operators, its square for the PSD compositions)
 compared against one shared cutoff, so the fourteen sub-checks measure the
 same quantity and cannot disagree by threshold choice alone.  Margins within
-a factor 10 of the cutoff are flagged marginal rather than trusted.
+a factor 10 of the cutoff are flagged marginal rather than trusted.  Each
+operator is decomposed once per system and shared (:class:`SystemSpectra`).
 
 In this finite model, invertibility on the heavy and light sequence spaces
 collapses to plain invertibility, and injectivity of a square system already
@@ -33,28 +34,22 @@ from .errors import NotAFrameError, ShapeMismatchError
 from .gallery import periodized_gaussian
 from .lattice import SeparableLattice
 from .operators import (
-    analysis_matrix,
+    SystemSpectra,
+    Window,
     atom_stack,
     coefficient_map,
     frame_operator_matrix,
-    gramian_matrix,
     synthesis_map,
-    synthesis_matrix,
     window_samples,
 )
 from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, margin_cutoff
-
-CONDITION_KEYS = (
-    "i", "ii", "iii", "iv", "v", "vi", "vii",
-    "viii", "ix", "x", "xi", "xii", "xiii", "xiv",
-)
 
 
 @dataclass
 class BoundsReport:
     """Frame bounds (extreme eigenvalues of the frame operator) and Riesz
-    bounds (from the nonzero Gramian spectrum, stored both squared and in
-    the unsquared norm convention)."""
+    bounds (from the nonzero spectrum that S shares with the Gramian, stored
+    both squared and in the unsquared norm convention)."""
 
     frame_lower: float
     frame_upper: float
@@ -102,22 +97,47 @@ class DualityRecord:
     adjoint_gramian_spectrum: np.ndarray = field(repr=False)
 
 
-def _rank_margin(svals, need):
-    """Margin sigma_need/sigma_max for 'rank >= need', 0 when impossible."""
-    if svals.size == 0 or svals[0] <= 0.0 or svals.size < need:
+def _margin(values, need):
+    """The ``need``-th value of a descending spectrum over its largest,
+    clipped at zero: sigma_need/sigma_max, or lambda_min/lambda_max."""
+    if values.size < need or values[0] <= 0.0:
         return 0.0
-    return float(svals[need - 1] / svals[0])
+    return float(max(values[need - 1], 0.0) / values[0])
 
 
 def _psd_margin(eigs):
-    """Margin lambda_min/lambda_max for PSD spectra, clipped at zero."""
-    top = float(eigs[-1])
-    if top <= 0.0:
-        return 0.0
-    return float(max(eigs[0], 0.0) / top)
+    """Margin lambda_min/lambda_max of an ascending PSD spectrum."""
+    return _margin(eigs[::-1], eigs.size)
 
 
-def check_all_conditions(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE) -> EquivalenceVerdict:
+#: The fourteen conditions as (measured operator, residual kind): the
+#: finite model collapses ii/iii, vi/vii, ix/x and xi/xii/xiv, and a
+#: trivial nullspace (iv, v, xiii) is exactly "margin above its cutoff".
+#: The residual is the deciding value, its root, or how many of the values
+#: that must clear the cutoff do not.
+CONDITION_TABLE = {
+    "i": ("analysis", "value"),
+    "ii": ("frame", "value"),
+    "iii": ("frame", "value"),
+    "iv": ("frame", "deficiency"),
+    "v": ("analysis", "deficiency"),
+    "vi": ("synthesis", "value"),
+    "vii": ("synthesis", "value"),
+    "viii": ("adjoint_synthesis", "value"),
+    "ix": ("adjoint_analysis", "value"),
+    "x": ("adjoint_analysis", "value"),
+    "xi": ("adjoint_gramian", "value"),
+    "xii": ("adjoint_gramian", "value"),
+    "xiii": ("adjoint_gramian", "deficiency"),
+    "xiv": ("adjoint_gramian", "root"),
+}
+
+CONDITION_KEYS = tuple(CONDITION_TABLE)
+
+
+def check_all_conditions(
+    g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
+) -> EquivalenceVerdict:
     """Evaluate the fourteen equivalent frame characterizations independently.
 
     (i)     analysis map on the lattice is bounded below (frame),
@@ -135,97 +155,38 @@ def check_all_conditions(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCA
     (xiii)  adjoint Gramian has trivial nullspace,
     (xiv)   adjoint system is a Riesz sequence (Gramian bounded below).
 
-    Always returns a verdict; ``consistent`` records whether all fourteen
-    booleans agree.
+    The fourteen collapse onto six measured margins (see
+    :data:`CONDITION_TABLE`), one per operator, each from its own
+    decomposition in ``spectra``.  Always returns a verdict;
+    ``consistent`` records whether all fourteen booleans agree.
     """
-    adjoint = lattice.adjoint()
+    spectra = spectra or SystemSpectra(g, lattice)
     L = lattice.L
-    n = lattice.cardinality
-    n_adj = adjoint.cardinality
-
-    cut = margin_cutoff((L, n, n_adj), tol_scale)
+    n_adj = spectra.adjoint.cardinality
+    cut = margin_cutoff((L, lattice.cardinality, n_adj), tol_scale)
     cut2 = cut * cut
-
-    s_analysis = np.linalg.svd(analysis_matrix(g, lattice), compute_uv=False)
-    s_synthesis = np.linalg.svd(synthesis_matrix(g, lattice), compute_uv=False)
-    eig_frame = np.linalg.eigvalsh(frame_operator_matrix(g, lattice))
-    s_adj_analysis = np.linalg.svd(analysis_matrix(g, adjoint), compute_uv=False)
-    s_adj_synthesis = np.linalg.svd(synthesis_matrix(g, adjoint), compute_uv=False)
-    eig_adj_gram = np.linalg.eigvalsh(gramian_matrix(g, adjoint))
-
-    m_analysis = _rank_margin(s_analysis, L)
-    m_synthesis = _rank_margin(s_synthesis, L)
-    m_frame = _psd_margin(eig_frame)
-    m_adj_analysis = _rank_margin(s_adj_analysis, n_adj)
-    m_adj_synthesis = _rank_margin(s_adj_synthesis, n_adj)
-    m_adj_gram = _psd_margin(eig_adj_gram)
-
-    def nullity(eigs, top):
-        if top <= 0.0:
-            return eigs.size
-        return int(np.sum(np.maximum(eigs, 0.0) <= cut2 * top))
-
-    frame_nullity = nullity(eig_frame, float(eig_frame[-1]))
-    gram_nullity = nullity(eig_adj_gram, float(eig_adj_gram[-1]))
-    analysis_rank = int(np.sum(s_analysis > cut * s_analysis[0])) if s_analysis.size else 0
-    synthesis_rank = int(np.sum(s_synthesis > cut * s_synthesis[0])) if s_synthesis.size else 0
-    adj_analysis_rank = int(np.sum(s_adj_analysis > cut * s_adj_analysis[0])) if s_adj_analysis.size else 0
-    adj_synthesis_rank = int(np.sum(s_adj_synthesis > cut * s_adj_synthesis[0])) if s_adj_synthesis.size else 0
-
-    conditions = {
-        "i": m_analysis > cut,
-        "ii": m_frame > cut2,
-        "iii": m_frame > cut2,
-        "iv": frame_nullity == 0,
-        "v": analysis_rank == L,
-        "vi": synthesis_rank == L,
-        "vii": synthesis_rank == L,
-        "viii": adj_synthesis_rank == n_adj,
-        "ix": adj_analysis_rank == n_adj,
-        "x": adj_analysis_rank == n_adj,
-        "xi": m_adj_gram > cut2,
-        "xii": m_adj_gram > cut2,
-        "xiii": gram_nullity == 0,
-        "xiv": m_adj_gram > cut2,
+    # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
+    measured = {
+        "analysis": (spectra.analysis, L, cut),
+        "synthesis": (spectra.synthesis, L, cut),
+        "frame": (spectra.frame[::-1], L, cut2),
+        "adjoint_analysis": (spectra.adjoint_analysis, n_adj, cut),
+        "adjoint_synthesis": (spectra.adjoint_synthesis, n_adj, cut),
+        "adjoint_gramian": (spectra.adjoint_gramian[::-1], n_adj, cut2),
     }
-
-    def sigma_at(svals, need):
-        return float(svals[need - 1]) if svals.size >= need else 0.0
-
-    residuals = {
-        "i": sigma_at(s_analysis, L),
-        "ii": float(eig_frame[0]),
-        "iii": float(eig_frame[0]),
-        "iv": float(frame_nullity),
-        "v": float(L - analysis_rank),
-        "vi": sigma_at(s_synthesis, L),
-        "vii": sigma_at(s_synthesis, L),
-        "viii": sigma_at(s_adj_synthesis, n_adj),
-        "ix": sigma_at(s_adj_analysis, n_adj),
-        "x": sigma_at(s_adj_analysis, n_adj),
-        "xi": float(eig_adj_gram[0]),
-        "xii": float(eig_adj_gram[0]),
-        "xiii": float(gram_nullity),
-        "xiv": float(np.sqrt(max(eig_adj_gram[0], 0.0))),
-    }
-
-    # Normalized decision margins: >1 means the condition held, <1 failed.
-    margins = {
-        "i": m_analysis / cut,
-        "ii": m_frame / cut2,
-        "iii": m_frame / cut2,
-        "iv": m_frame / cut2,
-        "v": m_analysis / cut,
-        "vi": m_synthesis / cut,
-        "vii": m_synthesis / cut,
-        "viii": m_adj_synthesis / cut,
-        "ix": m_adj_analysis / cut,
-        "x": m_adj_analysis / cut,
-        "xi": m_adj_gram / cut2,
-        "xii": m_adj_gram / cut2,
-        "xiii": m_adj_gram / cut2,
-        "xiv": m_adj_gram / cut2,
-    }
+    conditions, residuals, margins = {}, {}, {}
+    for key, (operator, kind) in CONDITION_TABLE.items():
+        values, need, cutoff = measured[operator]
+        m = _margin(values, need)
+        conditions[key] = m > cutoff
+        deciding = float(values[need - 1]) if values.size >= need else 0.0
+        residuals[key] = {
+            "value": deciding,
+            "root": float(np.sqrt(max(deciding, 0.0))),
+            "deficiency": float(need - np.count_nonzero(values > cutoff * values[0])),
+        }[kind]
+        # Normalized decision margin: >1 means the condition held, <1 failed.
+        margins[key] = m / cutoff
 
     marginal_conditions = tuple(
         key for key in CONDITION_KEYS
@@ -243,16 +204,20 @@ def check_all_conditions(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCA
     )
 
 
-def frame_bounds(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE) -> BoundsReport:
+def frame_bounds(
+    g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
+) -> BoundsReport:
     """Frame bounds from the frame operator spectrum and Riesz bounds from
-    the nonzero Gramian spectrum of the same system."""
-    eig_frame = np.linalg.eigvalsh(frame_operator_matrix(g, lattice))
-    eig_gram = np.linalg.eigvalsh(gramian_matrix(g, lattice))
+    the nonzero spectrum of the smaller of S and the lattice Gramian (the
+    two share it, so the Gramian is decomposed only when n < L)."""
+    spectra = spectra or SystemSpectra(g, lattice)
+    eig_frame = spectra.frame
+    eig_riesz = spectra.gramian if lattice.cardinality < lattice.L else eig_frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
 
     lower = float(max(eig_frame[0], 0.0))
     upper = float(eig_frame[-1])
-    nonzero = eig_gram[eig_gram > cut2 * max(eig_gram[-1], 0.0)]
+    nonzero = eig_riesz[eig_riesz > cut2 * max(eig_riesz[-1], 0.0)]
     if nonzero.size:
         riesz_lower_sq = float(nonzero[0])
         riesz_upper_sq = float(nonzero[-1])
@@ -270,7 +235,7 @@ def frame_bounds(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE) -> B
     )
 
 
-def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE):
+def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """The canonical dual window, the frame-operator inverse applied to the
     window.
 
@@ -280,10 +245,7 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE):
     full-lattice cases).  Raises :class:`NotAFrameError` when the system is
     not a frame at the working tolerance.
     """
-    from .operators import Window
-
-    S = frame_operator_matrix(g, lattice)
-    eigs = np.linalg.eigvalsh(S)
+    eigs = (spectra or SystemSpectra(g, lattice)).frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
     if _psd_margin(eigs) <= cut2:
         raise NotAFrameError(
@@ -291,8 +253,7 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE):
             sigma_min=float(eigs[0]),
             cutoff=cut2 * float(eigs[-1]),
         )
-    samples = window_samples(g)
-    dual = np.linalg.solve(S, samples)
+    dual = np.linalg.solve(frame_operator_matrix(g, lattice), window_samples(g))
     label = getattr(g, "label", "") or "window"
     return Window(
         samples=dual,
@@ -337,13 +298,15 @@ def cross_gramian_row_sum_gap(phi, g, lattice: SeparableLattice) -> float:
     return out
 
 
-def duality_check(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE) -> DualityRecord:
+def duality_check(
+    g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
+) -> DualityRecord:
     """Frame verdict on the lattice against the Riesz verdict of the adjoint
     system, with both spectra attached."""
-    adjoint = lattice.adjoint()
-    eig_frame = np.linalg.eigvalsh(frame_operator_matrix(g, lattice))
-    eig_adj_gram = np.linalg.eigvalsh(gramian_matrix(g, adjoint))
-    cut2 = margin_cutoff((lattice.L, lattice.cardinality, adjoint.cardinality), tol_scale) ** 2
+    spectra = spectra or SystemSpectra(g, lattice)
+    eig_frame = spectra.frame
+    eig_adj_gram = spectra.adjoint_gramian
+    cut2 = margin_cutoff((lattice.L, lattice.cardinality, spectra.adjoint.cardinality), tol_scale) ** 2
     frame = _psd_margin(eig_frame) > cut2
     riesz = _psd_margin(eig_adj_gram) > cut2
     return DualityRecord(
@@ -361,11 +324,8 @@ def stft_grid(f, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if f.shape != phi.shape or f.ndim != 1:
         raise ShapeMismatchError("signal and analyzing window must be vectors of equal length")
-    L = f.shape[0]
-    rows = np.empty((L, L), dtype=complex)
-    for x in range(L):
-        rows[x] = np.fft.fft(f * np.conj(np.roll(phi, x)))
-    return rows
+    t = np.arange(f.shape[0])
+    return np.fft.fft(f[None, :] * np.conj(phi[(t[None, :] - t[:, None]) % t.size]), axis=1)
 
 
 def modulation_norm_proxy(f, p) -> float:

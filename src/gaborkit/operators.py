@@ -21,6 +21,7 @@ long signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -250,18 +251,61 @@ def multiwindow_frame_operator(windows, lattice: SeparableLattice) -> np.ndarray
     return out
 
 
-def operator_norms(g, lattice: SeparableLattice) -> dict:
+class SystemSpectra:
+    """The spectra of one system ``(g, lattice)``, each decomposed on first
+    use and then kept; the dense matrices are not kept.
+
+    Eigenvalues (ascending) of S and of the Gramians on the lattice and its
+    adjoint; singular values (descending) of the analysis and synthesis
+    matrices on the lattice and its adjoint.
+    """
+
+    def __init__(self, g, lattice: SeparableLattice):
+        self.g = g
+        self.lattice = lattice
+        self.adjoint = lattice.adjoint()
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        return np.linalg.eigvalsh(frame_operator_matrix(self.g, self.lattice))
+
+    @cached_property
+    def gramian(self) -> np.ndarray:
+        return np.linalg.eigvalsh(gramian_matrix(self.g, self.lattice))
+
+    @cached_property
+    def adjoint_gramian(self) -> np.ndarray:
+        return np.linalg.eigvalsh(gramian_matrix(self.g, self.adjoint))
+
+    @cached_property
+    def analysis(self) -> np.ndarray:
+        return np.linalg.svd(analysis_matrix(self.g, self.lattice), compute_uv=False)
+
+    @cached_property
+    def synthesis(self) -> np.ndarray:
+        return np.linalg.svd(synthesis_matrix(self.g, self.lattice), compute_uv=False)
+
+    @cached_property
+    def adjoint_analysis(self) -> np.ndarray:
+        return np.linalg.svd(analysis_matrix(self.g, self.adjoint), compute_uv=False)
+
+    @cached_property
+    def adjoint_synthesis(self) -> np.ndarray:
+        return np.linalg.svd(synthesis_matrix(self.g, self.adjoint), compute_uv=False)
+
+
+def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:
     """Measured operator norms of C, D, S, G plus the l1 autocorrelation
-    row sum.  ``norm_C**2 = norm_S = norm_G = norm_D**2`` up to roundoff."""
-    S = frame_operator_matrix(g, lattice)
-    G = gramian_matrix(g, lattice)
-    norm_s = float(np.linalg.eigvalsh(S)[-1])
-    norm_g = float(np.linalg.eigvalsh(G)[-1])
+    row sum.  ``norm_C**2 = norm_S = norm_G = norm_D**2`` up to roundoff,
+    with S and D decomposed independently."""
+    spectra = spectra or SystemSpectra(g, lattice)
+    norm_s = float(spectra.frame[-1])
+    norm_d = float(spectra.synthesis[0])
     acf = shift_autocorrelation(g, lattice)
     return {
         "norm_C": float(np.sqrt(max(norm_s, 0.0))),
-        "norm_D": float(np.sqrt(max(norm_g, 0.0))),
+        "norm_D": norm_d,
         "norm_S": norm_s,
-        "norm_G": norm_g,
+        "norm_G": norm_d * norm_d,
         "autocorrelation_l1": float(np.sum(np.abs(acf.values))),
     }

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
@@ -39,8 +39,8 @@ from .gallery import (
     random_window,
 )
 from .lattice import FiniteModel, SeparableLattice
-from .operators import Window, frame_operator_matrix, operator_norms, synthesis_map
-from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff
+from .operators import SystemSpectra, Window, frame_operator_matrix, operator_norms, synthesis_map
+from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 from .twisted import index_commutative, janssen_coefficients, kernel_basis, represent
 
 SCHEMA_VERSION = "1"
@@ -78,7 +78,10 @@ def load_window(path) -> np.ndarray:
             if len(parts) != 2:
                 raise ConfigError("window", f"bad line in window file {path!r}: {line!r}")
             values.append(complex(float(parts[0]), float(parts[1])))
-    return np.array(values, dtype=complex)
+    samples = np.array(values, dtype=complex)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("window", f"window file {path!r} has non-finite samples")
+    return samples
 
 
 @dataclass
@@ -96,10 +99,10 @@ class AnalysisConfig:
     spectra: str = ""
 
     def validate(self) -> None:
-        if not isinstance(self.length, int) or self.length < 2:
+        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
             raise ConfigError("length", f"must be an integer >= 2, got {self.length!r}")
         for name, step in (("a", self.a), ("b", self.b)):
-            if not isinstance(step, int) or step < 1:
+            if not isinstance(step, (int, np.integer)) or step < 1:
                 raise ConfigError(name, f"must be a positive integer, got {step!r}")
             if self.length % step != 0:
                 raise ConfigError(name, f"{step} does not divide length {self.length}")
@@ -108,8 +111,8 @@ class AnalysisConfig:
         for task in self.tasks:
             if task not in TASKS:
                 raise ConfigError("tasks", f"unknown task {task!r}; choose from {TASKS}")
-        if self.tol_scale <= 0:
-            raise ConfigError("tol_scale", f"must be positive, got {self.tol_scale!r}")
+        if not (self.tol_scale > 0 and math.isfinite(self.tol_scale)):
+            raise ConfigError("tol_scale", f"must be positive and finite, got {self.tol_scale!r}")
         if not self.window:
             raise ConfigError("window", "a window recipe or file path is required")
 
@@ -169,19 +172,19 @@ def jsonable(obj):
     return obj
 
 
-def _task_bounds(g, lattice, config, rng):
-    return frame_bounds(g, lattice, config.tol_scale)
+def _task_bounds(g, lattice, config, rng, spectra):
+    return frame_bounds(g, lattice, config.tol_scale, spectra=spectra)
 
 
-def _task_conditions(g, lattice, config, rng):
-    return check_all_conditions(g, lattice, config.tol_scale)
+def _task_conditions(g, lattice, config, rng, spectra):
+    return check_all_conditions(g, lattice, config.tol_scale, spectra=spectra)
 
 
-def _task_duality(g, lattice, config, rng):
-    return duality_check(g, lattice, config.tol_scale)
+def _task_duality(g, lattice, config, rng, spectra):
+    return duality_check(g, lattice, config.tol_scale, spectra=spectra)
 
 
-def _task_janssen(g, lattice, config, rng):
+def _task_janssen(g, lattice, config, rng, spectra):
     coeffs = janssen_coefficients(g, lattice)
     S = frame_operator_matrix(g, lattice)
     residual = np.linalg.norm(S - represent(coeffs)) / np.linalg.norm(S)
@@ -192,8 +195,8 @@ def _task_janssen(g, lattice, config, rng):
     }
 
 
-def _task_dual_window(g, lattice, config, rng):
-    dual = wexler_raz_dual(g, lattice, config.tol_scale)
+def _task_dual_window(g, lattice, config, rng, spectra):
+    dual = wexler_raz_dual(g, lattice, config.tol_scale, spectra=spectra)
     signals = [
         rng.standard_normal(lattice.L) + 1j * rng.standard_normal(lattice.L) for _ in range(8)
     ]
@@ -206,7 +209,7 @@ def _task_dual_window(g, lattice, config, rng):
     }
 
 
-def _task_kernel(g, lattice, config, rng):
+def _task_kernel(g, lattice, config, rng, spectra):
     adjoint = lattice.adjoint()
     basis = kernel_basis(g, adjoint, config.tol_scale)
     witnesses = []
@@ -220,14 +223,17 @@ def _task_kernel(g, lattice, config, rng):
     }
 
 
-def _task_index(g, lattice, config, rng):
-    adjoint = lattice.adjoint()
+def _task_index(g, lattice, config, rng, spectra):
+    adjoint = spectra.adjoint
+    svals = spectra.adjoint_synthesis
+    # The kernel dimension at the rank rule kernel_basis applies.
+    cutoff = rank_tolerance((lattice.L, adjoint.cardinality), svals[0], config.tol_scale)
     entry = {
         "commutative": adjoint.has_commuting_shifts,
-        "kernel_dimension_surrogate": len(kernel_basis(g, adjoint, config.tol_scale)),
+        "kernel_dimension_surrogate": adjoint.cardinality - int(np.sum(svals > cutoff)),
     }
     if adjoint.has_commuting_shifts:
-        entry["index"] = index_commutative(g, adjoint, config.tol_scale)
+        entry["index"] = index_commutative(g, adjoint, config.tol_scale, sigma_max=svals[0])
     else:
         # Non-commutative adjoint: the exact module index is not computed;
         # the kernel dimension above is an upper-bound surrogate.
@@ -235,7 +241,7 @@ def _task_index(g, lattice, config, rng):
     return entry
 
 
-def _task_gallery(g, lattice, config, rng):
+def _task_gallery(g, lattice, config, rng, spectra):
     ladder = []
     for length in GALLERY_LENGTHS:
         gauss = gaussian_alternating_kernel_probe(length)
@@ -283,6 +289,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     lattice = config.lattice()
     g = config.build_window()
     rng = np.random.default_rng(config.seed)
+    spectra = SystemSpectra(g, lattice)
 
     first_order_cut = margin_cutoff(
         (lattice.L, lattice.cardinality, lattice.adjoint().cardinality), config.tol_scale
@@ -308,10 +315,12 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     timing = {}
     for task in config.tasks:
         start = time.perf_counter()
-        results[task] = _TASK_RUNNERS[task](g, lattice, config, rng)
+        results[task] = _TASK_RUNNERS[task](g, lattice, config, rng, spectra)
         timing[task] = time.perf_counter() - start
     if "bounds" in config.tasks:
-        results["operator_norms"] = operator_norms(g, lattice)
+        start = time.perf_counter()
+        results["operator_norms"] = operator_norms(g, lattice, spectra=spectra)
+        timing["operator_norms"] = time.perf_counter() - start
 
     report = DiagnosticsReport(
         schema_version=SCHEMA_VERSION,
@@ -334,18 +343,17 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
             handle.write(report.to_json())
             handle.write("\n")
     if config.spectra:
-        _write_spectra(config.spectra, g, lattice, config)
+        _write_spectra(config.spectra, spectra)
     return report
 
 
-def _write_spectra(path, g, lattice, config):
-    record = duality_check(g, lattice, config.tol_scale)
+def _write_spectra(path, spectra):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["kind", "index", "eigenvalue"])
-        for i, value in enumerate(record.frame_spectrum):
+        for i, value in enumerate(spectra.frame):
             writer.writerow(["frame_operator", i, f"{value:.17g}"])
-        for i, value in enumerate(record.adjoint_gramian_spectrum):
+        for i, value in enumerate(spectra.adjoint_gramian):
             writer.writerow(["adjoint_gramian", i, f"{value:.17g}"])
 
 
@@ -355,13 +363,13 @@ def divisor_pairs(length: int):
     return [(a, b) for a in divisors for b in divisors]
 
 
-def sweep(base: AnalysisConfig, pairs=None, jobs: int = 1):
+def sweep(base: AnalysisConfig, pairs=None):
     """Run bounds + duality over a grid of lattice steps.
 
     Returns one row per (a, b) with redundancy, frame bounds, the frame and
-    duality verdicts, and the marginal flag.  Rows are computed over
-    immutable configs (optionally in a thread pool) and returned in grid
-    order; writes CSV to ``base.out`` when set.
+    duality verdicts, and the marginal flag, in grid order.  The window is
+    built once and each row decomposes its operators once; writes CSV to
+    ``base.out`` when set.
     """
     base.validate()
     if pairs is None:
@@ -372,34 +380,28 @@ def sweep(base: AnalysisConfig, pairs=None, jobs: int = 1):
         if base.length % b != 0:
             raise ConfigError("b", f"{b} does not divide length {base.length}")
 
-    def one(pair):
-        a, b = pair
+    g = base.build_window()
+    rows = []
+    for a, b in pairs:
         lattice = SeparableLattice(base.length, a, b)
-        g = AnalysisConfig(
-            length=base.length, a=a, b=b, window=base.window,
-            tol_scale=base.tol_scale, seed=base.seed,
-        ).build_window()
-        bounds = frame_bounds(g, lattice, base.tol_scale)
-        verdict = check_all_conditions(g, lattice, base.tol_scale)
-        record = duality_check(g, lattice, base.tol_scale)
-        return {
-            "a": a,
-            "b": b,
-            "redundancy": lattice.redundancy,
-            "frame_lower": bounds.frame_lower,
-            "frame_upper": bounds.frame_upper,
-            "frame": verdict.frame,
-            "adjoint_riesz": record.adjoint_riesz,
-            "duality_agree": record.agree,
-            "consistent": verdict.consistent,
-            "marginal": verdict.marginal,
-        }
-
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, pairs))
-    else:
-        rows = [one(pair) for pair in pairs]
+        spectra = SystemSpectra(g, lattice)
+        bounds = frame_bounds(g, lattice, base.tol_scale, spectra=spectra)
+        verdict = check_all_conditions(g, lattice, base.tol_scale, spectra=spectra)
+        record = duality_check(g, lattice, base.tol_scale, spectra=spectra)
+        rows.append(
+            {
+                "a": a,
+                "b": b,
+                "redundancy": lattice.redundancy,
+                "frame_lower": bounds.frame_lower,
+                "frame_upper": bounds.frame_upper,
+                "frame": verdict.frame,
+                "adjoint_riesz": record.adjoint_riesz,
+                "duality_agree": record.agree,
+                "consistent": verdict.consistent,
+                "marginal": verdict.marginal,
+            }
+        )
 
     if base.out:
         fieldnames = [

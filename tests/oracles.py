@@ -117,3 +117,17 @@ def naive_stft_norm(f, phi, p):
     if p == 2:
         return np.sqrt((vals**2).sum())
     return vals.max()
+
+
+def naive_character_residuals(L, a, b, g):
+    """``|D chi| / |chi|`` for every character ``chi`` of the lattice grid,
+    with the synthesis matrix D built atom by atom."""
+    nt, nf = L // a, L // b
+    points = [(k, l) for k in range(nt) for l in range(nf)]
+    D = np.array([naive_shift(L, (k * a, l * b), g) for k, l in points]).T
+    out = np.zeros((nt, nf))
+    for x1 in range(nt):
+        for x2 in range(nf):
+            char = np.array([np.exp(2j * np.pi * (x1 * k / nt + x2 * l / nf)) for k, l in points])
+            out[x1, x2] = np.linalg.norm(D @ char) / np.linalg.norm(char)
+    return out

@@ -44,12 +44,22 @@ def test_analyze_bad_window_file_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_analyze_non_finite_window_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("1\t0\nnan\t0\n" + "0\t0\n" * 6)
+    code = main(["analyze", "--length", "8", "--lattice", "2,2", "--window", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "t.csv"
     code = main(
         [
             "sweep", "--length", "12", "--window", "gaussian",
-            "--pairs", "1,12;2,2;3,4", "--out", str(out), "--jobs", "2",
+            "--pairs", "1,12;2,2;3,4", "--out", str(out),
         ]
     )
     assert code == 0
@@ -108,3 +118,26 @@ def test_kernel_command(capsys):
 def test_lattice_argument_parsing(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--length", "8", "--lattice", "2", "--window", "delta"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--length", "8", "--lattice", "3"],
+        ["sweep", "--length", "8", "--jobs", "2"],
+        ["nope"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # Exit code 2 is reserved for a harness alarm.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--jobs" not in capsys.readouterr().out

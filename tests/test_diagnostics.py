@@ -300,3 +300,33 @@ def test_modulation_proxy_ordering(rng):
 def test_modulation_invalid_p(rng):
     with pytest.raises(ShapeMismatchError):
         modulation_norm_proxy(random_signal(rng, 8), 3)
+
+
+@pytest.mark.parametrize("L, a, b", [(24, 4, 8), (16, 4, 4), (18, 3, 3)])  # n < L, n = L, n > L
+def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
+    from gaborkit import SystemSpectra, operator_norms
+
+    lat = SeparableLattice(L, a, b)
+    n = lat.cardinality
+    g = random_unit_window(rng, L)
+
+    def diagnostics(**kwargs):
+        verdict = check_all_conditions(g, lat, **kwargs)
+        duality = duality_check(g, lat, **kwargs)
+        return {
+            "bounds": frame_bounds(g, lat, **kwargs),
+            "verdict": verdict,
+            "frame_spectrum": duality.frame_spectrum.tolist(),
+            "adjoint_gramian_spectrum": duality.adjoint_gramian_spectrum.tolist(),
+            "norms": operator_norms(g, lat, **kwargs),
+            "dual": wexler_raz_dual(g, lat, **kwargs).samples.tolist() if verdict.frame else None,
+        }
+
+    fresh = diagnostics()
+    eigensolves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
+    assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
+    # S and the adjoint Gramian once each; the lattice Gramian only when n < L.
+    want = [(L, L), (L * L // n, L * L // n)] + ([(n, n)] if n < L else [])
+    assert sorted(eigensolves) == sorted(want)

@@ -46,6 +46,19 @@ def test_config_validation_names_fields():
     assert err.value.field == "tol_scale"
 
 
+@pytest.mark.parametrize("tol_scale", [float("nan"), float("inf")])
+def test_config_validation_rejects_non_finite_tol_scale(tol_scale):
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig(length=12, a=3, b=4, tol_scale=tol_scale).validate()
+    assert err.value.field == "tol_scale"
+
+
+def test_config_validation_accepts_numpy_integers():
+    config = AnalysisConfig(length=np.int64(12), a=np.int32(3), b=np.int64(4), tasks=("bounds",))
+    config.validate()
+    assert run(config).results["lattice"]["cardinality"] == 12
+
+
 def test_run_onb_case(tmp_path):
     out = tmp_path / "report.json"
     config = AnalysisConfig(
@@ -166,7 +179,7 @@ def test_jsonable_encodings():
 def test_sweep_gaussian_L24_matches_per_row_recheck(tmp_path):
     out = tmp_path / "table.csv"
     base = AnalysisConfig(length=24, a=1, b=1, window="gaussian", out=str(out))
-    rows = sweep(base, jobs=2)
+    rows = sweep(base)
     assert len(rows) == len(divisor_pairs(24))
     g = Window.unit(periodized_gaussian(24), "g")
     for row in rows:

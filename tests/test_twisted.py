@@ -20,14 +20,16 @@ from gaborkit import (
     janssen_coefficients,
     kernel_basis,
     make_window,
+    margin_cutoff,
     partition_of_unity_kernel,
     periodized_gaussian,
     represent,
+    synthesis_matrix,
     twisted_convolve,
     twisted_invert,
 )
 from conftest import random_signal, random_unit_window
-from oracles import naive_represent, naive_twisted
+from oracles import naive_character_residuals, naive_represent, naive_twisted
 
 
 def random_sequence(rng, lat):
@@ -316,3 +318,22 @@ def test_sequence_shape_validation():
     b = TwistedSequence.delta(other)
     with pytest.raises(ShapeMismatchError):
         twisted_convolve(a, b)
+
+
+@pytest.mark.parametrize(
+    "L, a, b, recipe",
+    [(16, 4, 4, "bspline"), (16, 8, 2, "bspline"), (16, 4, 4, "gaussian"), (12, 6, 2, "gaussian")],
+)
+def test_index_matches_character_loop(L, a, b, recipe):
+    model = FiniteModel(L)
+    if recipe == "bspline":
+        g = make_window(WindowRecipe("bspline", order=1, widths=(4,)), model)
+    else:
+        g = Window.unit(periodized_gaussian(L), "g")
+    lat = SeparableLattice(L, a, b)
+    D = synthesis_matrix(g, lat)
+    sigma_max = np.linalg.norm(D, 2)
+    cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
+    want = int(np.sum(naive_character_residuals(L, a, b, g.samples) <= cutoff))
+    assert index_commutative(g, lat) == want
+    assert index_commutative(g, lat, sigma_max=sigma_max) == want
