@@ -9,17 +9,34 @@ windows ``shift(lam) g, lam in Lam``.  The toolkit provides
 * the Gramian                     ``G = C D``  (n x n, Hermitian PSD),
 
 both as explicit matrices for spectral diagnostics and as matrix-free
-FFT-accelerated applications for larger problems.  ``D`` is the conjugate
-transpose of ``C`` entrywise, so the adjointness ``<C f, c> = <f, D c>``
-holds exactly.
+applications for long signals.  ``D`` is the conjugate transpose of ``C``
+entrywise, so the adjointness ``<C f, c> = <f, D c>`` holds exactly.
+
+The matrix-free maps are factorized in the Zak domain (Zibulski-Zeevi;
+the window factorization of LTFAT's ``comp_wfac`` and ``comp_dgt_fac``).
+With ``M = L/b`` frequency columns and ``N = L/a`` time rows, the block
+sizes are
+
+    c = gcd(a, M),   p = a/c,   q = M/c,   d = N/q = b/p,
+
+and ``t = rho + c*sigma + M*m`` splits the time axis.  The Zak transform
+(a length-b FFT over ``m``) of the first q window translates is the window
+factor, ``q*L`` entries; the maps reduce to that factor times the Zak
+transform of the signal, summed over ``p`` aliases, plus FFTs of length d
+and M.  Memory is O(q*L) for ``n = N*M <= q*L`` coefficients and work
+O(q*L*log(b) + n*log(n)), against O(N*L) for folding a stack of all N
+window translates: the factor is d times smaller than that stack, since
+``N = q*d``.  The derivation is in ``notes/decisions.md``.
 
 The dense builders refuse to allocate beyond a hard entry budget; use the
 ``coefficient_map`` / ``synthesis_map`` / ``frame_operator_apply`` paths for
-long signals.
+long signals.  The dense matrices are the reference the maps are tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -118,29 +135,74 @@ def _guard_dense(entries, what):
         )
 
 
+def _factor_sizes(lattice):
+    """Block sizes ``(c, p, q, d)`` of the window factorization, with
+    ``M = L/b``, ``N = L/a``: ``c = gcd(a, M)``, ``a = c*p``, ``M = c*q``,
+    ``N = q*d`` and ``b = p*d``."""
+    n_freq = lattice.n_freq
+    c = math.gcd(lattice.a, n_freq)
+    p = lattice.a // c
+    return c, p, n_freq // c, lattice.b // p
+
+
+def _window_factor(g, lattice):
+    """The window factor of ``g`` on ``lattice``, shape (q, p, d, q, c).
+
+    Entry ``[k0, nu2, nu1, sigma, rho]`` is the conjugated length-b DFT
+    over ``m`` of ``g(rho + c*sigma + M*m - k0*a)``, at ``nu = nu1 + d*nu2``:
+    the Zak transform of the first q window translates.  Writing
+    ``sigma - k0*p = sigma' + q*s`` (``0 <= sigma' < q``), it equals
+    ``conj(Zg[nu, sigma', rho]) * exp(-2*pi*i*nu*s/b)``.
+    """
+    g = window_samples(g)
+    L = lattice.L
+    if g.shape != (L,):
+        raise ShapeMismatchError(f"window length {g.shape} does not match L={L}")
+    c, p, q, d = _factor_sizes(lattice)
+    idx = (np.arange(L)[None, :] - lattice.a * np.arange(q)[:, None]) % L
+    zak = np.fft.fft(g[idx].reshape(q, lattice.b, q, c), axis=1)
+    return np.conj(zak).reshape(q, p, d, q, c)
+
+
+def _analyze(factor, lattice, f):
+    """Coefficients of ``f`` from a window factor, shape (L/a, L/b)."""
+    q, p, d, _, c = factor.shape
+    zak = np.fft.fft(f.reshape(lattice.b, q, c), axis=0).reshape(p, d, q, c)
+    folded = np.fft.ifft(np.einsum("vnsr,kvnsr->nksr", zak, factor), axis=0)
+    return np.fft.fft(folded.reshape(lattice.grid_shape), axis=1) / p
+
+
+def _synthesize(factor, lattice, values):
+    """The exact adjoint of :func:`_analyze`: a length-L signal."""
+    q, p, d, _, c = factor.shape
+    rows = np.fft.fft(np.fft.ifft(values, axis=1).reshape(d, q, q, c), axis=0)
+    zak = np.einsum("kvnsr,nksr->vnsr", np.conj(factor), rows)
+    return lattice.n_freq * np.fft.ifft(zak.reshape(lattice.b, q, c), axis=0).reshape(lattice.L)
+
+
 def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
     """Analysis coefficients ``c[k, l] = <f, shift((k*a, l*b)) g>``.
 
-    Matrix-free: for each time row the frequency column is a folded FFT of
-    ``f * conj(translate(g))``, since the sampled modulation has period L/b.
+    Factorized through the Zak transform.  Row ``k`` is the length-M FFT
+    of ``F[k, r] = sum_m f(r + M*m) conj(g(r + M*m - k*a))``.  Splitting
+    ``r = rho + c*sigma`` and ``k = k0 + q*k2`` turns the fold over ``m``
+    into the Zak transform of ``f`` times the window factor, summed over
+    the ``p`` aliases ``nu1 + d*nu2`` and inverted by a length-d FFT over
+    ``k2``.  Memory O(q*L) and work O(q*L*log(b) + n*log(n)), against
+    O(L*L/a) for the fold itself (``L/a = q*d``).
     """
-    g = window_samples(g)
     f = _check_signal(lattice, f)
-    if g.shape != (lattice.L,):
-        raise ShapeMismatchError(f"window length {g.shape} does not match L={lattice.L}")
-    n_freq = lattice.n_freq
-    prod = f[None, :] * np.conj(_translates(g, lattice))
-    folded = prod.reshape(lattice.n_time, lattice.b, n_freq).sum(axis=1)
-    return LatticeCoefficients(np.fft.fft(folded, axis=1), lattice)
+    return LatticeCoefficients(_analyze(_window_factor(g, lattice), lattice, f), lattice)
 
 
 def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     """Synthesize ``sum_{k,l} c[k, l] * shift((k*a, l*b)) g``.
 
-    Matrix-free adjoint of :func:`coefficient_map`: per time row, the
-    modulation sum is an inverse FFT tiled to length L.
+    The exact adjoint of :func:`coefficient_map`, through the same window
+    factor conjugated: per time row an inverse length-M FFT, a length-d FFT
+    over ``k2``, the factor summed over ``k0``, and an inverse Zak
+    transform.  Same cost as :func:`coefficient_map`.
     """
-    g = window_samples(g)
     if isinstance(coeffs, LatticeCoefficients):
         if coeffs.lattice != lattice:
             raise ShapeMismatchError("coefficients indexed by a different lattice")
@@ -152,16 +214,15 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
                 f"coefficient shape {values.shape} does not match lattice grid "
                 f"{lattice.grid_shape}"
             )
-    if g.shape != (lattice.L,):
-        raise ShapeMismatchError(f"window length {g.shape} does not match L={lattice.L}")
-    mods = lattice.n_freq * np.fft.ifft(values, axis=1)
-    mods_full = np.tile(mods, (1, lattice.b))
-    return np.sum(_translates(g, lattice) * mods_full, axis=0)
+    return _synthesize(_window_factor(g, lattice), lattice, values)
 
 
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
-    """Apply the frame operator S = D C without forming matrices."""
-    return synthesis_map(g, lattice, coefficient_map(g, lattice, f))
+    """Apply the frame operator S = D C without forming matrices; the
+    window factor is built once."""
+    f = _check_signal(lattice, f)
+    factor = _window_factor(g, lattice)
+    return _synthesize(factor, lattice, _analyze(factor, lattice, f))
 
 
 def atom_stack(g, lattice: SeparableLattice) -> np.ndarray:

@@ -53,10 +53,19 @@ DEFAULT_SEED = 20200313
 GALLERY_LENGTHS = (16, 36, 64, 100)
 
 
+def _open_output(path, field, **kwargs):
+    """Open ``path`` for writing; an unwritable path is a ConfigError on
+    ``field``."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as err:
+        raise ConfigError(field, f"cannot write {path!r}: {err}")
+
+
 def save_window(path, samples) -> None:
     """Write a window as ``re<TAB>im`` lines (17 significant digits)."""
     samples = np.asarray(samples, dtype=complex)
-    with open(path, "w") as handle:
+    with _open_output(path, "out") as handle:
         for value in samples:
             handle.write(f"{value.real:.17g}\t{value.imag:.17g}\n")
 
@@ -339,7 +348,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
         timing=timing,
     )
     if config.out:
-        with open(config.out, "w") as handle:
+        with _open_output(config.out, "out") as handle:
             handle.write(report.to_json())
             handle.write("\n")
     if config.spectra:
@@ -348,7 +357,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
 
 
 def _write_spectra(path, spectra):
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, "spectra", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["kind", "index", "eigenvalue"])
         for i, value in enumerate(spectra.frame):
@@ -408,7 +417,7 @@ def sweep(base: AnalysisConfig, pairs=None):
             "a", "b", "redundancy", "frame_lower", "frame_upper",
             "frame", "adjoint_riesz", "duality_agree", "consistent", "marginal",
         ]
-        with open(base.out, "w", newline="") as handle:
+        with _open_output(base.out, "out", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=fieldnames)
             writer.writeheader()
             for row in rows:

@@ -141,3 +141,22 @@ def test_help_exits_0(capsys):
         main(["sweep", "--help"])
     assert exc.value.code == 0
     assert "--jobs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["analyze", "--length", "8", "--lattice", "2,2", "--out", "{missing}"], "out"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--spectra", "{missing}"], "spectra"),
+        (["sweep", "--length", "8", "--pairs", "2,2", "--out", "{missing}"], "out"),
+        (["dual", "--length", "8", "--lattice", "1,8", "--window", "delta", "--out", "{missing}"],
+         "out"),
+    ],
+)
+def test_unwritable_output_exit_1(tmp_path, capsys, argv, field):
+    missing = str(tmp_path / "no_such_dir" / "result")
+    code = main([arg.format(missing=missing) for arg in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: cannot write")
+    assert "Traceback" not in err
