@@ -15,7 +15,8 @@ sigma_max for first-order operators, its square for the PSD compositions)
 compared against one shared cutoff, so the fourteen sub-checks measure the
 same quantity and cannot disagree by threshold choice alone.  Margins within
 a factor 10 of the cutoff are flagged marginal rather than trusted.  Each
-operator is decomposed once per system and shared (:class:`SystemSpectra`).
+operator is decomposed once per (window, lattice) and shared, the adjoint
+lattice's included (:class:`SystemSpectra`).
 
 In this finite model, invertibility on the heavy and light sequence spaces
 collapses to plain invertibility, and injectivity of a square system already
@@ -161,8 +162,9 @@ def check_all_conditions(
     ``consistent`` records whether all fourteen booleans agree.
     """
     spectra = spectra or SystemSpectra(g, lattice)
+    adjoint = spectra.adjoint
     L = lattice.L
-    n_adj = spectra.adjoint.cardinality
+    n_adj = adjoint.lattice.cardinality
     cut = margin_cutoff((L, lattice.cardinality, n_adj), tol_scale)
     cut2 = cut * cut
     # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
@@ -170,9 +172,9 @@ def check_all_conditions(
         "analysis": (spectra.analysis, L, cut),
         "synthesis": (spectra.synthesis, L, cut),
         "frame": (spectra.frame[::-1], L, cut2),
-        "adjoint_analysis": (spectra.adjoint_analysis, n_adj, cut),
-        "adjoint_synthesis": (spectra.adjoint_synthesis, n_adj, cut),
-        "adjoint_gramian": (spectra.adjoint_gramian[::-1], n_adj, cut2),
+        "adjoint_analysis": (adjoint.analysis, n_adj, cut),
+        "adjoint_synthesis": (adjoint.synthesis, n_adj, cut),
+        "adjoint_gramian": (adjoint.gramian[::-1], n_adj, cut2),
     }
     conditions, residuals, margins = {}, {}, {}
     for key, (operator, kind) in CONDITION_TABLE.items():
@@ -304,9 +306,10 @@ def duality_check(
     """Frame verdict on the lattice against the Riesz verdict of the adjoint
     system, with both spectra attached."""
     spectra = spectra or SystemSpectra(g, lattice)
+    adjoint = spectra.adjoint
     eig_frame = spectra.frame
-    eig_adj_gram = spectra.adjoint_gramian
-    cut2 = margin_cutoff((lattice.L, lattice.cardinality, spectra.adjoint.cardinality), tol_scale) ** 2
+    eig_adj_gram = adjoint.gramian
+    cut2 = margin_cutoff((lattice.L, lattice.cardinality, adjoint.lattice.cardinality), tol_scale) ** 2
     frame = _psd_margin(eig_frame) > cut2
     riesz = _psd_margin(eig_adj_gram) > cut2
     return DualityRecord(

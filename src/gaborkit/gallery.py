@@ -86,14 +86,9 @@ def _box_product(L: int, widths) -> np.ndarray:
     out = np.zeros(L, dtype=np.int64)
     out[: widths[0]] = 1
     for w in widths[1:]:
-        box = np.zeros(L, dtype=np.int64)
-        box[:w] = 1
-        full = np.convolve(out, box)
-        folded = np.zeros(L, dtype=np.int64)
-        for start in range(0, full.size, L):
-            chunk = full[start : start + L]
-            folded[: chunk.size] += chunk
-        out = folded
+        full = np.convolve(out, np.ones(w, dtype=np.int64))  # length L + w - 1 <= 2L - 1
+        out = full[:L].copy()
+        out[: w - 1] += full[L:]
     return out
 
 

@@ -73,12 +73,24 @@ class Window:
 
     @classmethod
     def unit(cls, samples, label=""):
-        """Normalize ``samples`` to unit l2 norm and record the original norm."""
-        samples = np.asarray(samples, dtype=complex)
-        norm = float(np.linalg.norm(samples))
-        if norm == 0.0:
+        """Normalize ``samples`` to unit l2 norm and record the original norm.
+
+        An exact power-of-two scaling of ``max|g|`` into [1/2, 1) keeps the sum
+        of squares from underflowing or overflowing; where ``norm(g)`` is
+        representable the result is bit for bit numpy's ``g / norm(g)``."""
+        samples = np.ascontiguousarray(samples, dtype=complex)
+        peak = float(np.max(np.abs(samples), initial=0.0))
+        if peak == 0.0:
             raise ShapeMismatchError("window must not be identically zero")
-        return cls(samples=samples / norm, label=label, original_norm=norm)
+        exp = math.frexp(peak)[1]
+        scaled = np.ldexp(samples.view(float), -exp).view(complex)
+        norm = float(np.linalg.norm(scaled))
+        # numpy divides by a norm as g * (1/norm); below the smallest normal
+        # double, the reciprocal of the unscaled norm overflows.
+        unit = scaled / norm if exp < -1021 else samples * math.ldexp(1.0 / norm, -exp)
+        # Two exact factors: a norm beyond the double range is inf, not an error.
+        original = norm * 2.0 ** (exp // 2) * 2.0 ** (exp - exp // 2)
+        return cls(samples=unit, label=label, original_norm=original)
 
     @property
     def length(self) -> int:
@@ -277,6 +289,27 @@ def shift_autocorrelation(g, lattice: SeparableLattice) -> LatticeCoefficients:
     return coefficient_map(g, lattice, g)
 
 
+def _grid_coords(lattice):
+    """Time and frequency grid indices ``(k, l)`` in flat grid order."""
+    nt, nf = lattice.grid_shape
+    return np.repeat(np.arange(nt), nf), np.tile(np.arange(nf), nt)
+
+
+def _twisted_matrix(values, lattice: SeparableLattice, *, left=False) -> np.ndarray:
+    """The n x n matrix of twisted multiplication by ``values`` (see
+    :mod:`gaborkit.twisted`) on flat grid order.  Right multiplication,
+    ``M[lam, mu] = exp(-2*pi*i*mu_1*(lam_2 - mu_2)/L) * values[lam - mu]``,
+    is the Gramian when ``values`` is the shift autocorrelation; ``left``
+    takes the phase ``exp(-2*pi*i*(lam_1 - mu_1)*mu_2/L)`` instead."""
+    L = lattice.L
+    kv, lv = _grid_coords(lattice)
+    dk = (kv[:, None] - kv[None, :]) % lattice.n_time
+    dl = (lv[:, None] - lv[None, :]) % lattice.n_freq
+    k, l = (dk, lv[None, :]) if left else (kv[None, :], dl)
+    expo = (-(k * lattice.a) * ((l * lattice.b) % L)) % L
+    return values[dk, dl] * np.exp(2j * np.pi * expo / L)
+
+
 def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     """Dense Gramian ``G[lam, mu] = <shift(mu) g, shift(lam) g>``.
 
@@ -287,17 +320,9 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     an independent route from the C @ D product.  Hermitian PSD with unit
     diagonal for unit-norm windows.
     """
-    L = lattice.L
     n = lattice.cardinality
     _guard_dense(n * n, "Gramian matrix")
-    acf = shift_autocorrelation(g, lattice).values
-    nt, nf = lattice.grid_shape
-    kv = np.repeat(np.arange(nt), nf)
-    lv = np.tile(np.arange(nf), nt)
-    dk = (kv[:, None] - kv[None, :]) % nt
-    dl = (lv[:, None] - lv[None, :]) % nf
-    expo = (-(kv[None, :] * lattice.a) * ((dl * lattice.b) % L)) % L
-    return acf[dk, dl] * np.exp(2j * np.pi * expo / L)
+    return _twisted_matrix(shift_autocorrelation(g, lattice).values, lattice)
 
 
 def multiwindow_frame_operator(windows, lattice: SeparableLattice) -> np.ndarray:
@@ -313,18 +338,27 @@ def multiwindow_frame_operator(windows, lattice: SeparableLattice) -> np.ndarray
 
 
 class SystemSpectra:
-    """The spectra of one system ``(g, lattice)``, each decomposed on first
+    """The spectra of one window on one lattice, each decomposed on first
     use and then kept; the dense matrices are not kept.
 
-    Eigenvalues (ascending) of S and of the Gramians on the lattice and its
-    adjoint; singular values (descending) of the analysis and synthesis
-    matrices on the lattice and its adjoint.
-    """
+    Eigenvalues (ascending) of S and of the Gramian; singular values
+    (descending) of the analysis and synthesis matrices.  ``table`` maps each
+    lattice to the window's spectra there (:meth:`on`), so each is computed
+    once per (window, lattice); :attr:`adjoint` is the adjoint lattice's entry."""
 
-    def __init__(self, g, lattice: SeparableLattice):
+    def __init__(self, g, lattice: SeparableLattice, *, table=None):
         self.g = g
         self.lattice = lattice
-        self.adjoint = lattice.adjoint()
+        self.table = {} if table is None else table
+        self.table[lattice] = self
+
+    def on(self, lattice: SeparableLattice) -> "SystemSpectra":
+        """The same window's spectra on ``lattice``, from the shared table."""
+        return self.table.get(lattice) or SystemSpectra(self.g, lattice, table=self.table)
+
+    @property
+    def adjoint(self) -> "SystemSpectra":
+        return self.on(self.lattice.adjoint())
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -335,24 +369,12 @@ class SystemSpectra:
         return np.linalg.eigvalsh(gramian_matrix(self.g, self.lattice))
 
     @cached_property
-    def adjoint_gramian(self) -> np.ndarray:
-        return np.linalg.eigvalsh(gramian_matrix(self.g, self.adjoint))
-
-    @cached_property
     def analysis(self) -> np.ndarray:
         return np.linalg.svd(analysis_matrix(self.g, self.lattice), compute_uv=False)
 
     @cached_property
     def synthesis(self) -> np.ndarray:
         return np.linalg.svd(synthesis_matrix(self.g, self.lattice), compute_uv=False)
-
-    @cached_property
-    def adjoint_analysis(self) -> np.ndarray:
-        return np.linalg.svd(analysis_matrix(self.g, self.adjoint), compute_uv=False)
-
-    @cached_property
-    def adjoint_synthesis(self) -> np.ndarray:
-        return np.linalg.svd(synthesis_matrix(self.g, self.adjoint), compute_uv=False)
 
 
 def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import numpy as np
 
@@ -220,11 +220,10 @@ def _task_dual_window(g, lattice, config, rng, spectra):
 
 def _task_kernel(g, lattice, config, rng, spectra):
     adjoint = lattice.adjoint()
-    basis = kernel_basis(g, adjoint, config.tol_scale)
-    witnesses = []
-    for seq in basis:
-        out = synthesis_map(g, adjoint, seq.values)
-        witnesses.append(float(np.linalg.norm(out) / seq.norm2()))
+    basis = kernel_basis(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
+    witnesses = [
+        float(np.linalg.norm(synthesis_map(g, adjoint, seq.values)) / seq.norm2()) for seq in basis
+    ]
     return {
         "dimension": len(basis),
         "witness_residuals": witnesses,
@@ -233,8 +232,8 @@ def _task_kernel(g, lattice, config, rng, spectra):
 
 
 def _task_index(g, lattice, config, rng, spectra):
-    adjoint = spectra.adjoint
-    svals = spectra.adjoint_synthesis
+    adjoint = spectra.adjoint.lattice
+    svals = spectra.adjoint.synthesis
     # The kernel dimension at the rank rule kernel_basis applies.
     cutoff = rank_tolerance((lattice.L, adjoint.cardinality), svals[0], config.tol_scale)
     entry = {
@@ -362,7 +361,7 @@ def _write_spectra(path, spectra):
         writer.writerow(["kind", "index", "eigenvalue"])
         for i, value in enumerate(spectra.frame):
             writer.writerow(["frame_operator", i, f"{value:.17g}"])
-        for i, value in enumerate(spectra.adjoint_gramian):
+        for i, value in enumerate(spectra.adjoint.gramian):
             writer.writerow(["adjoint_gramian", i, f"{value:.17g}"])
 
 
@@ -377,23 +376,21 @@ def sweep(base: AnalysisConfig, pairs=None):
 
     Returns one row per (a, b) with redundancy, frame bounds, the frame and
     duality verdicts, and the marginal flag, in grid order.  The window is
-    built once and each row decomposes its operators once; writes CSV to
-    ``base.out`` when set.
+    built once, and row (a, b) reuses the spectra of row (L/b, L/a), its
+    adjoint; writes CSV to ``base.out`` when set.
     """
     base.validate()
     if pairs is None:
         pairs = divisor_pairs(base.length)
     for a, b in pairs:
-        if base.length % a != 0:
-            raise ConfigError("a", f"{a} does not divide length {base.length}")
-        if base.length % b != 0:
-            raise ConfigError("b", f"{b} does not divide length {base.length}")
+        replace(base, a=a, b=b).validate()
 
     g = base.build_window()
     rows = []
+    spectra = None
     for a, b in pairs:
         lattice = SeparableLattice(base.length, a, b)
-        spectra = SystemSpectra(g, lattice)
+        spectra = spectra.on(lattice) if spectra else SystemSpectra(g, lattice)
         bounds = frame_bounds(g, lattice, base.tol_scale, spectra=spectra)
         verdict = check_all_conditions(g, lattice, base.tol_scale, spectra=spectra)
         record = duality_check(g, lattice, base.tol_scale, spectra=spectra)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
 from .lattice import SeparableLattice
-from .operators import coefficient_map, synthesis_matrix, window_samples
+from .operators import _twisted_matrix, coefficient_map, synthesis_matrix, window_samples
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 
 
@@ -79,34 +79,16 @@ def _require_same_lattice(a: TwistedSequence, b: TwistedSequence):
         raise ShapeMismatchError("twisted convolution requires sequences on the same lattice")
 
 
-def _grid_coords(lattice):
-    nt, nf = lattice.grid_shape
-    kv = np.repeat(np.arange(nt), nf)
-    lv = np.tile(np.arange(nf), nt)
-    return kv, lv
-
-
 def left_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
     """Matrix of ``b -> a # b`` on flat grid order."""
-    lat = a.lattice
-    L = lat.L
-    kv, lv = _grid_coords(lat)
-    dk = (kv[:, None] - kv[None, :]) % lat.n_time
-    dl = (lv[:, None] - lv[None, :]) % lat.n_freq
-    expo = (-(dk * lat.a) * ((lv[None, :] * lat.b) % L)) % L
-    return a.values[dk, dl] * np.exp(2j * np.pi * expo / L)
+    return _twisted_matrix(a.values, a.lattice, left=True)
 
 
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
     """Matrix of ``c -> c # a`` on flat grid order (the operator whose
-    invertibility the algebra's spectral-invariance statement is about)."""
-    lat = a.lattice
-    L = lat.L
-    kv, lv = _grid_coords(lat)
-    dk = (kv[:, None] - kv[None, :]) % lat.n_time
-    dl = (lv[:, None] - lv[None, :]) % lat.n_freq
-    expo = (-(kv[None, :] * lat.a) * ((dl * lat.b) % L)) % L
-    return a.values[dk, dl] * np.exp(2j * np.pi * expo / L)
+    invertibility the algebra's spectral-invariance statement is about);
+    with ``a`` the shift autocorrelation it is the Gramian."""
+    return _twisted_matrix(a.values, a.lattice)
 
 
 def twisted_convolve(a: TwistedSequence, b: TwistedSequence) -> TwistedSequence:
@@ -176,18 +158,19 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
     return TwistedSequence(b.reshape(a.lattice.grid_shape), a.lattice)
 
 
-def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE):
+def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
     ``lattice``, via SVD with the standard rank tolerance.  Empty when the
-    synthesis map is injective."""
+    synthesis map is injective.  The singular values fill the ``synthesis``
+    spectrum of ``spectra``, the window's on ``lattice``, if not yet computed."""
     D = synthesis_matrix(g, lattice)
     _, svals, vh = np.linalg.svd(D, full_matrices=True)
+    if spectra is not None:
+        # cached_property keeps a computed spectrum in the instance dict.
+        vars(spectra).setdefault("synthesis", svals)
     cutoff = rank_tolerance(D.shape, svals[0] if svals.size else 0.0, tol_scale)
-    rank = int(np.sum(svals > cutoff))
-    basis = []
-    for row in vh[rank:]:
-        basis.append(TwistedSequence(np.conj(row).reshape(lattice.grid_shape), lattice))
-    return basis
+    null = vh[int(np.sum(svals > cutoff)):]  # the rows of V^H past the rank
+    return [TwistedSequence(np.conj(row).reshape(lattice.grid_shape), lattice) for row in null]
 
 
 def index_commutative(

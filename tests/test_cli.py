@@ -115,6 +115,30 @@ def test_kernel_command(capsys):
     assert payload["results"]["index"]["index"] >= 1
 
 
+# Adjoint lattice: the lattice itself, commuting, non-commuting.
+@pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
+def test_kernel_command_one_svd(monkeypatch, capsys, length, lattice):
+    # The index task reads the singular values of the kernel task's full SVD.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+    assert main(["kernel", "--length", length, "--lattice", lattice, "--window", "random"]) == 0
+    assert len(calls) == 1
+    payload = json.loads(capsys.readouterr().out)["results"]
+    assert payload["index"]["kernel_dimension_surrogate"] == payload["kernel"]["dimension"]
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e200"])
+def test_analyze_extreme_window_scale(tmp_path, capsys, recwarn, value):
+    path = tmp_path / "w.txt"
+    path.write_text(f"{value}\t0\n" * 2 + "0\t0\n" * 6)
+    code = main(["analyze", "--length", "8", "--lattice", "2,2", "--window", str(path)])
+    assert code == 0
+    assert not recwarn.list
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["results"]["bounds"]["frame_upper"] > 0
+
+
 def test_lattice_argument_parsing(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "--length", "8", "--lattice", "2", "--window", "delta"])
@@ -134,6 +158,14 @@ def test_usage_errors_exit_1(argv, capsys):
         main(argv)
     assert exc.value.code == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_sweep_zero_step_exit_1(capsys):
+    code = main(["sweep", "--length", "8", "--pairs", "0,2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a: must be a positive integer")
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

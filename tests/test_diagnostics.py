@@ -323,10 +323,20 @@ def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
         }
 
     fresh = diagnostics()
-    eigensolves = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigensolves.append(m.shape) or eigvalsh(m))
+    shapes = {"eigvalsh": [], "svd": []}
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda m, *args, _real=real, _seen=seen, **kw: _seen.append(m.shape)
+            or _real(m, *args, **kw),
+        )
     assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
     # S and the adjoint Gramian once each; the lattice Gramian only when n < L.
     want = [(L, L), (L * L // n, L * L // n)] + ([(n, n)] if n < L else [])
-    assert sorted(eigensolves) == sorted(want)
+    assert sorted(shapes["eigvalsh"]) == sorted(want)
+    # Analysis and synthesis on the lattice and on its adjoint, which is the
+    # same lattice, decomposed once, when a*b = L.
+    lattices = {lat, lat.adjoint()}
+    assert len(lattices) == (1 if a * b == L else 2)
+    want = [shape for m in lattices for shape in ((m.cardinality, L), (L, m.cardinality))]
+    assert sorted(shapes["svd"]) == sorted(want)

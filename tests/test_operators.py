@@ -42,6 +42,21 @@ def test_window_unit_normalizes():
         Window.unit(np.zeros(4), "zero")
 
 
+def test_window_unit_extreme_scales(rng):
+    # Bit for bit g / norm(g) wherever that norm is representable.
+    for L in (8, 192, 1024):
+        gauss = np.exp(-np.arange(L) ** 2 / (L / 4)).astype(complex)
+        for g in (random_signal(rng, L), gauss, 1e-150 * gauss, 1e100 * random_signal(rng, L)):
+            w = Window.unit(g)
+            assert np.array_equal(w.samples, g / np.linalg.norm(g))
+            assert w.original_norm == np.linalg.norm(g)
+    # Far outside, the plain sum of squares underflows or overflows.
+    for value in (1e-200, 1e200, 5e-324, 1.7e308):
+        w = Window.unit(np.array([value, value, 0, 0]))
+        assert np.allclose(w.samples, [2**-0.5, 2**-0.5, 0, 0], rtol=1e-15)
+        assert np.isclose(w.original_norm, value * 2**0.5, rtol=1e-15)  # inf at 1.7e308
+
+
 def test_coefficients_delta_full_lattice():
     L = 6
     lat = SeparableLattice(L, 1, 1)

@@ -204,6 +204,27 @@ def test_sweep_gaussian_L24_matches_per_row_recheck(tmp_path):
     assert header.startswith("a,b,redundancy,frame_lower")
 
 
+def test_sweep_decomposes_each_matrix_once(monkeypatch):
+    # Row (a, b) reads the adjoint operators of row (L/b, L/a): each
+    # lattice's S, Gramian, analysis and synthesis matrix is decomposed once.
+    shapes = {"eigvalsh": [], "svd": []}
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda m, *args, _real=real, _seen=seen, **kw: _seen.append(m.shape)
+            or _real(m, *args, **kw),
+        )
+    rows = sweep(AnalysisConfig(length=12, a=1, b=1, window="gaussian"))
+    lattices = [SeparableLattice(12, a, b) for a, b in divisor_pairs(12)]
+    assert len(rows) == len(lattices) == 36
+    assert sorted(shapes["eigvalsh"]) == sorted(
+        shape for m in lattices for shape in ((12, 12), (m.cardinality, m.cardinality))
+    )
+    assert sorted(shapes["svd"]) == sorted(
+        shape for m in lattices for shape in ((m.cardinality, 12), (12, m.cardinality))
+    )
+
+
 def test_sweep_delta_critical_pairs():
     # Delta window on a*b = L lattices: time-frequency translates collapse
     # onto single positions unless a == 1, so only a == 1 gives a basis.

@@ -10,12 +10,14 @@ from gaborkit import (
     SeparableLattice,
     ShapeMismatchError,
     SingularAlgebraError,
+    SystemSpectra,
     TwistedSequence,
     Window,
     WindowRecipe,
     algebra_adjoint,
     compose_shifts,
     frame_operator_matrix,
+    gramian_matrix,
     index_commutative,
     janssen_coefficients,
     kernel_basis,
@@ -24,6 +26,8 @@ from gaborkit import (
     partition_of_unity_kernel,
     periodized_gaussian,
     represent,
+    right_multiplier_matrix,
+    shift_autocorrelation,
     synthesis_matrix,
     twisted_convolve,
     twisted_invert,
@@ -233,6 +237,30 @@ def test_kernel_empty_for_frame_case():
     adj = lat.adjoint()
     assert (adj.a, adj.b) == (8, 8)
     assert kernel_basis(g, adj) == []
+
+
+@pytest.mark.parametrize("L,a,b", [(12, 3, 2), (12, 4, 6), (16, 4, 4), (18, 6, 1), (24, 8, 6)])
+def test_gramian_is_right_multiplication_by_autocorrelation(rng, L, a, b):
+    # n > L, n < L, n = L, n > L, n < L.
+    lat = SeparableLattice(L, a, b)
+    g = random_unit_window(rng, L)
+    acf = TwistedSequence(shift_autocorrelation(g, lat).values, lat)
+    assert np.array_equal(gramian_matrix(g, lat), right_multiplier_matrix(acf))
+
+
+@pytest.mark.parametrize("L,a,b", [(16, 4, 4), (16, 2, 4), (24, 4, 4)])
+def test_kernel_basis_fills_synthesis_spectrum(rng, L, a, b):
+    g = random_unit_window(rng, L)
+    adj = SeparableLattice(L, a, b).adjoint()
+    filled = SystemSpectra(g, adj)
+    basis = kernel_basis(g, adj, spectra=filled)
+    values_only = np.linalg.svd(synthesis_matrix(g, adj), compute_uv=False)
+    assert np.allclose(filled.synthesis, values_only, rtol=0, atol=1e-13 * values_only[0])
+    # A spectrum already computed is kept.
+    kept = SystemSpectra(g, adj)
+    first = kept.synthesis
+    assert len(kernel_basis(g, adj, spectra=kept)) == len(basis)
+    assert kept.synthesis is first
 
 
 def test_kernel_contains_pou_sequence():
