@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LatticeError, PartitionOfUnityError, ShapeMismatchError
+from .errors import ConfigError, LatticeError, PartitionOfUnityError, ShapeMismatchError
 from .lattice import SeparableLattice
 from .operators import Window, synthesis_map, window_samples
 from .twisted import TwistedSequence
@@ -54,15 +54,24 @@ class WindowRecipe:
             parts = rest.split(":")
             if len(parts) != 2:
                 raise LatticeError(f"bspline recipe needs ORDER:WIDTH, got {text!r}")
-            return cls("bspline", order=int(parts[0]), widths=(int(parts[1]),))
+            order, width = _recipe_ints(parts, text)
+            return cls("bspline", order=order, widths=(width,))
         if head in ("conv", "convolution_product"):
-            widths = tuple(int(w) for w in rest.split(",") if w.strip())
+            widths = _recipe_ints([w for w in rest.split(",") if w.strip()], text)
             if not widths:
                 raise LatticeError(f"convolution recipe needs widths, got {text!r}")
             return cls("convolution_product", widths=widths)
         if head == "file":
             return cls("file", path=rest)
         raise LatticeError(f"cannot parse window recipe {text!r}")
+
+
+def _recipe_ints(fields, text):
+    """The integer fields of a recipe; a non-integer is a ConfigError."""
+    try:
+        return tuple(int(field) for field in fields)
+    except ValueError:
+        raise ConfigError("window", f"recipe fields must be integers, got {text!r}") from None
 
 
 def periodized_gaussian(L: int) -> np.ndarray:

@@ -176,6 +176,19 @@ def _window_factor(g, lattice):
     return np.conj(zak).reshape(q, p, d, q, c)
 
 
+def _factor_blocks(g, lattice):
+    """The window factor as ``c*q*d`` blocks ``W[:, :, nu1, sigma, rho]`` of
+    size q x p (``k0`` x ``nu2``), shape (d, q, c, q, p), and the scale
+    ``sqrt(M/p)``.
+
+    Up to unitary FFTs on both sides, the analysis matrix is the block
+    diagonal of the blocks times that scale, so its singular values (and
+    the synthesis matrix's) are the blocks' times the scale.
+    """
+    factor = _window_factor(g, lattice)
+    return factor.transpose(2, 3, 4, 0, 1), math.sqrt(lattice.n_freq / factor.shape[1])
+
+
 def _analyze(factor, lattice, f):
     """Coefficients of ``f`` from a window factor, shape (L/a, L/b)."""
     q, p, d, _, c = factor.shape
@@ -185,11 +198,14 @@ def _analyze(factor, lattice, f):
 
 
 def _synthesize(factor, lattice, values):
-    """The exact adjoint of :func:`_analyze`: a length-L signal."""
+    """The exact adjoint of :func:`_analyze`: a length-L signal per grid of
+    ``values``, shape (..., L/a, L/b) -> (..., L)."""
     q, p, d, _, c = factor.shape
-    rows = np.fft.fft(np.fft.ifft(values, axis=1).reshape(d, q, q, c), axis=0)
-    zak = np.einsum("kvnsr,nksr->vnsr", np.conj(factor), rows)
-    return lattice.n_freq * np.fft.ifft(zak.reshape(lattice.b, q, c), axis=0).reshape(lattice.L)
+    lead = values.shape[:-2]
+    rows = np.fft.fft(np.fft.ifft(values, axis=-1).reshape(*lead, d, q, q, c), axis=-4)
+    zak = np.einsum("kvnsr,...nksr->...vnsr", np.conj(factor), rows)
+    signal = np.fft.ifft(zak.reshape(*lead, lattice.b, q, c), axis=-3)
+    return lattice.n_freq * signal.reshape(*lead, lattice.L)
 
 
 def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
@@ -213,7 +229,9 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     The exact adjoint of :func:`coefficient_map`, through the same window
     factor conjugated: per time row an inverse length-M FFT, a length-d FFT
     over ``k2``, the factor summed over ``k0``, and an inverse Zak
-    transform.  Same cost as :func:`coefficient_map`.
+    transform.  Same cost as :func:`coefficient_map`.  A stack of
+    coefficient grids, shape (..., L/a, L/b), gives one signal per grid
+    from one window factor.
     """
     if isinstance(coeffs, LatticeCoefficients):
         if coeffs.lattice != lattice:
@@ -221,7 +239,7 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
         values = coeffs.values
     else:
         values = np.asarray(coeffs, dtype=complex)
-        if values.shape != lattice.grid_shape:
+        if values.shape[-2:] != lattice.grid_shape:
             raise ShapeMismatchError(
                 f"coefficient shape {values.shape} does not match lattice grid "
                 f"{lattice.grid_shape}"

@@ -124,6 +124,8 @@ class AnalysisConfig:
             raise ConfigError("tol_scale", f"must be positive and finite, got {self.tol_scale!r}")
         if not self.window:
             raise ConfigError("window", "a window recipe or file path is required")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
 
     def lattice(self) -> SeparableLattice:
         return SeparableLattice(self.length, self.a, self.b)
@@ -221,12 +223,12 @@ def _task_dual_window(g, lattice, config, rng, spectra):
 def _task_kernel(g, lattice, config, rng, spectra):
     adjoint = lattice.adjoint()
     basis = kernel_basis(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
-    witnesses = [
-        float(np.linalg.norm(synthesis_map(g, adjoint, seq.values)) / seq.norm2()) for seq in basis
-    ]
+    stack = np.array([seq.values for seq in basis]).reshape(-1, *adjoint.grid_shape)
+    images = synthesis_map(g, adjoint, stack)
+    witnesses = np.linalg.norm(images, axis=1) / np.linalg.norm(stack, axis=(1, 2))
     return {
         "dimension": len(basis),
-        "witness_residuals": witnesses,
+        "witness_residuals": [float(w) for w in witnesses],
         "adjoint_lattice": {"a": adjoint.a, "b": adjoint.b},
     }
 

@@ -30,7 +30,14 @@ import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
 from .lattice import SeparableLattice
-from .operators import _twisted_matrix, coefficient_map, synthesis_matrix, window_samples
+from .operators import (
+    _factor_blocks,
+    _factor_sizes,
+    _guard_dense,
+    _twisted_matrix,
+    coefficient_map,
+    window_samples,
+)
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 
 
@@ -160,17 +167,69 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
 
 def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
-    ``lattice``, via SVD with the standard rank tolerance.  Empty when the
-    synthesis map is injective.  The singular values fill the ``synthesis``
-    spectrum of ``spectra``, the window's on ``lattice``, if not yet computed."""
-    D = synthesis_matrix(g, lattice)
-    _, svals, vh = np.linalg.svd(D, full_matrices=True)
+    ``lattice``, with the standard rank tolerance.  Empty when the synthesis
+    map is injective.
+
+    Up to unitary FFTs, the synthesis map is the block diagonal of the
+    conjugate transposes of the window-factor blocks ``W`` (q x p, one per
+    ``(nu1, sigma, rho)``; see :func:`gaborkit.operators._factor_blocks`), so
+    its nullspace is the sum of the blocks' left nullspaces: the left
+    singular vectors of each block past its rank, at the rank cutoff of the
+    whole L x n matrix.  A null vector ``u`` of block ``(nu1, sigma, rho)``
+    is the grid sequence ``u[k0]`` at ``(nu1, sigma, rho)``, mapped to the
+    grid by a length-d inverse FFT over ``nu1 -> k2`` and a length-M FFT
+    over ``rho + c*sigma``.  The scaled block singular values fill the
+    ``synthesis`` spectrum of ``spectra``, the window's on ``lattice``, if
+    not yet computed.
+
+    Raises :class:`MemoryGuardError` when the block SVD or the basis
+    (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
+    """
+    L, n = lattice.L, lattice.cardinality
+    c, p, q, d = _factor_sizes(lattice)
+    # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
+    _guard_dense(n * q + L * min(p, q), "kernel block SVD")
+    blocks, scale = _factor_blocks(g, lattice)
+    # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
+    u, svals, _ = np.linalg.svd(blocks, full_matrices=q > p)
+    svals *= scale
     if spectra is not None:
         # cached_property keeps a computed spectrum in the instance dict.
-        vars(spectra).setdefault("synthesis", svals)
-    cutoff = rank_tolerance(D.shape, svals[0] if svals.size else 0.0, tol_scale)
-    null = vh[int(np.sum(svals > cutoff)):]  # the rows of V^H past the rank
-    return [TwistedSequence(np.conj(row).reshape(lattice.grid_shape), lattice) for row in null]
+        vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
+    cutoff = rank_tolerance((L, n), svals.max(), tol_scale)
+    rank = np.count_nonzero(svals > cutoff, axis=-1)
+    nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
+    dim = nu1.size
+    _guard_dense(dim * max(L, n), "kernel basis")
+    values = np.zeros((dim, d, q, q, c), dtype=complex)
+    values[np.arange(dim), nu1, :, sigma, rho] = u[nu1, sigma, rho, :, col]
+    np.fft.ifft(values, axis=1, out=values)
+    grids = values.reshape(dim, *lattice.grid_shape)
+    np.fft.fft(grids, axis=2, out=grids)
+    grids /= np.linalg.norm(grids, axis=(1, 2), keepdims=True)
+    return [TwistedSequence(grid, lattice) for grid in grids]
+
+
+def _character_residuals(lattice: SeparableLattice, blocks, scale) -> np.ndarray:
+    """``|D chi| / |chi|`` for every character ``chi(k, l) = exp(2*pi*i*(x1*k/N
+    + x2*l/M))`` of the grid, shape (N, M), from the window-factor blocks.
+
+    The synthesis map sends the character ``(nu1 + d*t, -(rho + c*sigma))``
+    into block ``(nu1, sigma, rho)`` alone, as the phases ``exp(2*pi*i*(nu1
+    + d*t)*k0/N)`` over ``k0``; its image there is ``W^H`` times them, and
+    the residual is that vector's norm times ``sqrt(M/(p*q))``.
+    """
+    d, q, c = blocks.shape[:3]
+    N, M = lattice.grid_shape
+    x1 = np.arange(N).reshape(q, d).T  # x1[nu1, t] = nu1 + d*t
+    phases = np.exp(2j * np.pi * ((x1[:, None, :] * np.arange(q)[None, :, None]) % N) / N)
+    images = np.conj(blocks).swapaxes(-1, -2) @ phases[:, None, None]
+    out = np.empty((N, M))
+    x2 = (-(np.arange(c) + c * np.arange(q)[:, None])) % M  # x2[sigma, rho]
+    out[x1[:, None, None, :], x2[None, :, :, None]] = (
+        scale / np.sqrt(q) * np.linalg.norm(images, axis=-2)
+    )
+    return out
 
 
 def index_commutative(
@@ -183,7 +242,10 @@ def index_commutative(
     under grid translations, so it is spanned by the characters it contains;
     counting those characters gives the kernel's module index.  The count is
     zero exactly when the dual-side system is a frame.  ``sigma_max`` is the
-    largest singular value of the synthesis matrix when already known.
+    largest singular value of the synthesis matrix when already known;
+    otherwise it comes from a values-only SVD of the window-factor blocks.
+    Each character's residual comes from one block (see
+    :func:`_character_residuals`), so no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
     nontrivial (for separable lattices: when L does not divide a*b).
@@ -194,14 +256,9 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    D = synthesis_matrix(g, lattice)
+    blocks, scale = _factor_blocks(g, lattice)
     if sigma_max is None:
-        sigma_max = np.linalg.norm(D, 2)
+        sigma_max = scale * np.linalg.svd(blocks, compute_uv=False).max()
     cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * sigma_max
-    # D applied to every character: an unnormalized inverse 2-D DFT of each
-    # row of D, one axis at a time, so no more than two D-sized arrays live.
-    images = np.fft.ifft(D.reshape(lattice.L, *lattice.grid_shape), axis=2, norm="forward")
-    del D
-    np.fft.ifft(images, axis=1, norm="forward", out=images)
-    residuals = np.sqrt(np.sum(np.abs(images) ** 2, axis=0) / lattice.cardinality)
+    residuals = _character_residuals(lattice, blocks, scale)
     return int(np.count_nonzero(residuals <= cutoff))

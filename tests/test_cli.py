@@ -192,3 +192,22 @@ def test_unwritable_output_exit_1(tmp_path, capsys, argv, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: cannot write")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["analyze", "--length", "8", "--lattice", "2,2", "--window", "bspline:x:2"], "window"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--window", "conv:a"], "window"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--seed", "-1"], "seed"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--window", "random", "--seed", "-1"],
+         "seed"),
+        (["sweep", "--length", "8", "--seed", "-1"], "seed"),
+    ],
+)
+def test_bad_recipe_or_seed_exit_1(capsys, argv, field):
+    code = main(argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err

@@ -1,6 +1,8 @@
-"""The factorized (Zak-domain) coefficient and synthesis maps against the
-dense oracle: block sizes, every divisor lattice of small L, and memory."""
+"""The factorized (Zak-domain) coefficient and synthesis maps, kernel basis
+and character index against dense oracles: block sizes, every divisor
+lattice of small L, memory, and the entry cap."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,17 +10,27 @@ import numpy as np
 import pytest
 
 from gaborkit import (
+    MemoryGuardError,
     SeparableLattice,
+    Window,
     analysis_matrix,
     coefficient_map,
     divisor_pairs,
     frame_operator_apply,
     frame_operator_matrix,
+    index_commutative,
+    kernel_basis,
+    rank_tolerance,
     synthesis_map,
     synthesis_matrix,
 )
-from gaborkit.operators import _factor_sizes
-from conftest import random_signal
+from gaborkit import operators
+from gaborkit.cli import main
+from gaborkit.operators import _factor_blocks, _factor_sizes
+from gaborkit.tolerances import margin_cutoff
+from gaborkit.twisted import _character_residuals
+from conftest import random_signal, random_unit_window
+from oracles import naive_character_residuals
 
 MAX_ORACLE_LENGTH = 48
 
@@ -78,3 +90,95 @@ def test_round_trip_memory_is_linear_in_L():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"round-trip peak {peak / 2**20:.1f} MiB"
+
+
+def test_synthesis_map_takes_a_stack_of_grids():
+    rng = np.random.default_rng(5)
+    for L, a, b in ((24, 4, 6), (24, 8, 2), (36, 3, 12)):
+        lat = SeparableLattice(L, a, b)
+        g = random_signal(rng, L)
+        stack = random_signal(rng, 3 * 2 * lat.cardinality).reshape(3, 2, *lat.grid_shape)
+        got = synthesis_map(g, lat, stack)
+        assert got.shape == (3, 2, L)
+        for index in np.ndindex(3, 2):
+            want = synthesis_map(g, lat, stack[index])
+            assert np.linalg.norm(got[index] - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def oracle_windows(rng, L):
+    """A random complex window and a box of width about L/4, both unit."""
+    box = np.zeros(L)
+    box[: max(1, L // 4)] = 1.0
+    return {"random": random_unit_window(rng, L), "box": Window.unit(box, "box")}
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_kernel_basis_matches_dense_on_every_divisor_lattice(L):
+    rng = np.random.default_rng(100 + L)
+    for lat in divisor_lattices(L):
+        n = lat.cardinality
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            D = synthesis_matrix(g, lat)
+            _, svals, vh = np.linalg.svd(D, full_matrices=False)
+            rank = int(np.sum(svals > rank_tolerance((L, n), svals[0])))
+            basis = np.array([seq.flat for seq in kernel_basis(g, lat)]).reshape(-1, n)
+            assert basis.shape[0] == n - rank, where
+            if not basis.shape[0]:
+                continue
+            gram = basis.conj() @ basis.T
+            assert np.abs(gram - np.eye(len(basis))).max() <= 1e-12, where
+            # Equal dimensions and orthonormal: the sine of the largest
+            # principal angle to the dense nullspace is the basis's reach
+            # into D's row space.
+            assert np.linalg.norm(vh[:rank] @ basis.T, 2) <= 1e-10, where
+            assert np.linalg.norm(D @ basis.T, axis=0).max() <= 1e-10, where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_character_residuals_and_index_match_the_loop(L):
+    rng = np.random.default_rng(200 + L)
+    for lat in divisor_lattices(L):
+        if not lat.has_commuting_shifts:
+            continue
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            want = naive_character_residuals(L, lat.a, lat.b, g.samples)
+            sigma_max = np.linalg.norm(synthesis_matrix(g, lat), 2)
+            got = _character_residuals(lat, *_factor_blocks(g, lat))
+            assert np.abs(got - want).max() <= 1e-13 * sigma_max, where
+            cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
+            assert index_commutative(g, lat) == int(np.sum(want <= cutoff)), where
+
+
+@pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
+def test_kernel_command_builds_no_dense_matrix(monkeypatch, capsys, length, lattice):
+    # Adjoint lattice: the lattice itself, commuting, non-commuting.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel command built a dense matrix")
+
+    for name in ("atom_stack", "analysis_matrix", "synthesis_matrix",
+                 "frame_operator_matrix", "gramian_matrix", "_twisted_matrix"):
+        monkeypatch.setattr(operators, name, refuse)
+    assert main(["kernel", "--length", length, "--lattice", lattice, "--window", "random"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results["kernel"]["witness_residuals"]) == results["kernel"]["dimension"]
+    assert max(results["kernel"]["witness_residuals"], default=0.0) <= 1e-10
+
+
+def test_kernel_basis_memory_guard(monkeypatch, capsys):
+    # Adjoint (2, 2) of (8, 8) at L = 16: n = 64, q = 4, so the block SVD
+    # holds 64*4 + 16*1 = 272 entries and the kernel basis 48 x 64 = 3072.
+    g = random_unit_window(np.random.default_rng(9), 16)
+    lat = SeparableLattice(16, 2, 2)
+    assert len(kernel_basis(g, lat)) == 48
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 3071)
+    with pytest.raises(MemoryGuardError, match="kernel basis would need 3072 entries"):
+        kernel_basis(g, lat)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 271)
+    with pytest.raises(MemoryGuardError, match="kernel block SVD would need 272 entries"):
+        kernel_basis(g, lat)
+    assert main(["kernel", "--length", "16", "--lattice", "8,8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel block SVD would need")
+    assert "Traceback" not in err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaborkit import (
+    ConfigError,
     FiniteModel,
     LatticeError,
     PartitionOfUnityError,
@@ -106,6 +107,13 @@ def test_recipe_parsing():
     assert WindowRecipe.parse("file:/tmp/w.txt").path == "/tmp/w.txt"
     with pytest.raises(LatticeError):
         WindowRecipe.parse("bspline:2")
+
+
+@pytest.mark.parametrize("text", ["bspline:x:2", "bspline:2:4.5", "conv:a", "conv:4,b"])
+def test_recipe_non_integer_fields_are_config_errors(text):
+    with pytest.raises(ConfigError) as err:
+        WindowRecipe.parse(text)
+    assert err.value.field == "window"
 
 
 def test_random_window_unit(rng):

@@ -53,6 +53,22 @@ def test_config_validation_rejects_non_finite_tol_scale(tol_scale):
     assert err.value.field == "tol_scale"
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_config_validation_rejects_bad_seed(seed):
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig(length=12, a=3, b=4, seed=seed).validate()
+    assert err.value.field == "seed"
+    # sweep validates its base configuration the same way.
+    with pytest.raises(ConfigError) as err:
+        sweep(AnalysisConfig(length=8, a=1, b=1, seed=seed), pairs=[(2, 2)])
+    assert err.value.field == "seed"
+
+
+def test_config_validation_accepts_numpy_seed():
+    AnalysisConfig(length=12, a=3, b=4, seed=np.uint32(5)).validate()
+    AnalysisConfig(length=12, a=3, b=4, seed=0).validate()
+
+
 def test_config_validation_accepts_numpy_integers():
     config = AnalysisConfig(length=np.int64(12), a=np.int32(3), b=np.int64(4), tasks=("bounds",))
     config.validate()
