@@ -30,8 +30,9 @@ window translates: the factor is d times smaller than that stack, since
 
 The dense builders refuse to allocate beyond a hard entry budget; use the
 ``coefficient_map`` / ``synthesis_map`` / ``frame_operator_apply`` paths for
-long signals.  The dense matrices are the reference the maps are tested
-against.
+long signals.  The Gramian's spectrum comes from the window factor as
+well (:attr:`SystemSpectra.gramian`).  The dense matrices are the reference
+the factorized routes are tested against.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ import numpy as np
 from .errors import MemoryGuardError, ShapeMismatchError
 from .lattice import SeparableLattice
 
-#: Hard cap on signal length for explicit L x L matrices.
-MAX_DENSE_LENGTH = 4096
-#: Hard cap on total entries of any dense operator matrix (~256 MiB complex).
+#: Hard cap on total entries of any dense operator matrix (~256 MiB complex);
+#: for the L x L frame operator it caps L at 4096.
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -291,8 +291,6 @@ def frame_operator_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     """
     g = window_samples(g)
     L = lattice.L
-    if L > MAX_DENSE_LENGTH:
-        raise MemoryGuardError(f"L={L} exceeds dense cap {MAX_DENSE_LENGTH}")
     _guard_dense(L * L, "frame operator matrix")
     tr = _translates(g, lattice)
     corr = tr.T @ np.conj(tr)
@@ -357,9 +355,10 @@ def multiwindow_frame_operator(windows, lattice: SeparableLattice) -> np.ndarray
 
 class SystemSpectra:
     """The spectra of one window on one lattice, each decomposed on first
-    use and then kept; the dense matrices are not kept.
+    use and then kept; the matrices are not kept.
 
-    Eigenvalues (ascending) of S and of the Gramian; singular values
+    Eigenvalues (ascending) of S and of the Gramian, the Gramian's from the
+    window-factor blocks and the rest from dense matrices; singular values
     (descending) of the analysis and synthesis matrices.  ``table`` maps each
     lattice to the window's spectra there (:meth:`on`), so each is computed
     once per (window, lattice); :attr:`adjoint` is the adjoint lattice's entry."""
@@ -384,7 +383,23 @@ class SystemSpectra:
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        return np.linalg.eigvalsh(gramian_matrix(self.g, self.lattice))
+        """Eigenvalues of ``G = C D`` from the window-factor blocks; no n x n
+        matrix is built.
+
+        Up to unitary FFTs, G is the block diagonal of the q x q products
+        ``W W^H`` times ``M/p`` (see :func:`_factor_blocks`).  When q > p a
+        block's nonzero eigenvalues are those of the p x p ``W^H W``, and its
+        other q - p are exact zeros, so the products hold at most
+        n*min(p, q) entries.
+        """
+        lattice = self.lattice
+        _, p, q, _ = _factor_sizes(lattice)
+        _guard_dense(q * lattice.L + lattice.cardinality * min(p, q), "Gramian blocks")
+        blocks, _ = _factor_blocks(self.g, lattice)
+        herm = np.conj(blocks).swapaxes(-1, -2)
+        eigs = np.linalg.eigvalsh(blocks @ herm if q <= p else herm @ blocks).reshape(-1)
+        zeros = np.zeros(lattice.cardinality - eigs.size)
+        return np.sort(np.concatenate([lattice.n_freq / p * eigs, zeros]))
 
     @cached_property
     def analysis(self) -> np.ndarray:

@@ -75,6 +75,14 @@ def test_sweep_stdout(capsys):
     assert rows[0]["frame"] is True
 
 
+def test_sweep_length_72(capsys):
+    # Row (72, 72) needs the Gramian on (1, 1): n = 5184, 26.9M dense entries.
+    assert main(["sweep", "--length", "72"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 144
+    assert all(row["consistent"] and row["duality_agree"] for row in rows)
+
+
 def test_gallery(tmp_path):
     out = tmp_path / "g.json"
     code = main(["gallery", "--out", str(out)])

@@ -26,7 +26,7 @@ from gaborkit import (
     wexler_raz_dual,
     wexler_raz_residual,
 )
-from conftest import random_signal, random_unit_window
+from conftest import gramian_block_shape, random_signal, random_unit_window
 from fixtures import (
     CRITICAL_L16_FRAME_UPPER,
     CRITICAL_L16_RIESZ_LOWER_SQ,
@@ -332,7 +332,9 @@ def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
         )
     assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
     # S and the adjoint Gramian once each; the lattice Gramian only when n < L.
-    want = [(L, L), (L * L // n, L * L // n)] + ([(n, n)] if n < L else [])
+    want = [(L, L), gramian_block_shape(lat.adjoint())] + (
+        [gramian_block_shape(lat)] if n < L else []
+    )
     assert sorted(shapes["eigvalsh"]) == sorted(want)
     # Analysis and synthesis on the lattice and on its adjoint, which is the
     # same lattice, decomposed once, when a*b = L.

@@ -1,6 +1,6 @@
-"""The factorized (Zak-domain) coefficient and synthesis maps, kernel basis
-and character index against dense oracles: block sizes, every divisor
-lattice of small L, memory, and the entry cap."""
+"""The factorized (Zak-domain) coefficient and synthesis maps, kernel basis,
+character index and Gramian spectrum against dense oracles: block sizes,
+every divisor lattice of small L, memory, and the entry cap."""
 
 import json
 import math
@@ -12,12 +12,14 @@ import pytest
 from gaborkit import (
     MemoryGuardError,
     SeparableLattice,
+    SystemSpectra,
     Window,
     analysis_matrix,
     coefficient_map,
     divisor_pairs,
     frame_operator_apply,
     frame_operator_matrix,
+    gramian_matrix,
     index_commutative,
     kernel_basis,
     rank_tolerance,
@@ -29,7 +31,7 @@ from gaborkit.cli import main
 from gaborkit.operators import _factor_blocks, _factor_sizes
 from gaborkit.tolerances import margin_cutoff
 from gaborkit.twisted import _character_residuals
-from conftest import random_signal, random_unit_window
+from conftest import dense_gramian_spectrum, random_signal, random_unit_window
 from oracles import naive_character_residuals
 
 MAX_ORACLE_LENGTH = 48
@@ -182,3 +184,40 @@ def test_kernel_basis_memory_guard(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: kernel block SVD would need")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
+    rng = np.random.default_rng(300 + L)
+    for lat in divisor_lattices(L):
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            want, slack = dense_gramian_spectrum(gramian_matrix(g, lat), L, rng)
+            got = SystemSpectra(g, lat).gramian
+            assert got.shape == want.shape, where
+            assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], where
+
+
+def test_sweep_builds_no_dense_gramian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a dense Gramian")
+
+    for name in ("gramian_matrix", "_twisted_matrix"):
+        monkeypatch.setattr(operators, name, refuse)
+    assert main(["sweep", "--length", "12", "--window", "random"]) == 0
+
+
+def test_gramian_blocks_memory_guard(monkeypatch):
+    # (1, 1) at L = 4096: q = 4096, so the factor and the 1 x 1 block
+    # products need 2 * 4096^2 entries; refused before anything is allocated.
+    with pytest.raises(MemoryGuardError, match="Gramian blocks would need 33554432 entries"):
+        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).gramian
+    # (2, 2) at L = 16: c = 2, p = 1, q = 4, so the window factor holds
+    # 4*16 = 64 entries and the p x p block products 64*1 = 64.
+    g = random_unit_window(np.random.default_rng(11), 16)
+    lat = SeparableLattice(16, 2, 2)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 128)
+    assert SystemSpectra(g, lat).gramian.shape == (64,)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
+    with pytest.raises(MemoryGuardError, match="Gramian blocks would need 128 entries"):
+        SystemSpectra(g, lat).gramian

@@ -1,6 +1,6 @@
-"""Hypothesis properties of the factorized maps: adjointness and S = D C
-against the dense frame operator, over random windows, signals and divisor
-lattices."""
+"""Hypothesis properties of the factorized routes: adjointness and S = D C
+against the dense frame operator, and the Gramian spectrum against the
+dense Gramian, over random windows, signals and divisor lattices."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,17 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from gaborkit import (  # noqa: E402
     SeparableLattice,
+    SystemSpectra,
     analysis_matrix,
     coefficient_map,
     divisor_pairs,
     frame_operator_apply,
     frame_operator_matrix,
+    gramian_matrix,
     synthesis_map,
 )
 from gaborkit.operators import _factor_sizes  # noqa: E402
+from conftest import dense_gramian_spectrum  # noqa: E402
 
 RTOL = 1e-12
 
@@ -93,3 +96,15 @@ def test_frame_operator_is_synthesis_after_analysis(system):
     round_trip = synthesis_map(g, lat, coefficient_map(g, lat, f))
     for got in (round_trip, frame_operator_apply(g, lat, f)):
         assert np.linalg.norm(got - want) <= RTOL * scale
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_gramian_spectrum_is_the_dense_one(system):
+    lat, g, _, _ = system
+    rng = np.random.default_rng(lat.cardinality)
+    want, slack = dense_gramian_spectrum(gramian_matrix(g, lat), lat.L, rng)
+    got = SystemSpectra(g, lat).gramian
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() + slack <= 1e-13 * want[-1]

@@ -5,6 +5,12 @@ assert what is known exactly at any length.  The periodized Gaussian on the
 critical lattice ``(sqrt(L), sqrt(L))`` with even ``sqrt(L)`` annihilates
 the alternating sequence exactly (acceptance criterion 08), and that
 character spans the whole kernel: dimension 1, index 1, witness 0.
+
+On ``(n, n)`` with ``L = 2*n**2`` (redundancy 2) the same window has frame
+bounds over redundancy that do not depend on L (the finite side of
+Sondergaard, "Gabor frames by sampling and periodization", 2007).  By the
+Ron-Shen / Janssen duality they are the extreme eigenvalues of the Gramian
+on the adjoint lattice ``(2n, 2n)``.
 """
 
 import json
@@ -15,13 +21,19 @@ import pytest
 from gaborkit import (
     FiniteModel,
     SeparableLattice,
+    SystemSpectra,
     WindowRecipe,
+    frame_bounds,
     index_commutative,
     kernel_basis,
     make_window,
     synthesis_map,
 )
 from gaborkit.cli import main
+
+#: Frame bounds over redundancy of the periodized Gaussian on (n, n), L = 2n^2.
+GAUSSIAN_A_OVER_R = 0.83462684167407
+GAUSSIAN_B_OVER_R = 1.1803405990161
 
 
 @pytest.mark.parametrize("L", [16384, 65536])
@@ -50,3 +62,34 @@ def test_kernel_command_beyond_the_dense_cap(capsys):
     assert results["index"] == {
         "commutative": True, "index": 1, "kernel_dimension_surrogate": 1,
     }
+
+
+def half_density_gaussian(L):
+    """The periodized Gaussian on ``(n, n)`` with ``L = 2*n**2``, and the
+    extreme eigenvalues of its Gramian on the adjoint lattice."""
+    n = int(np.sqrt(L // 2))
+    assert 2 * n * n == L
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(L))
+    lattice = SeparableLattice(L, n, n)
+    eigs = SystemSpectra(g, lattice).adjoint.gramian
+    return g, lattice, eigs[0], eigs[-1]
+
+
+@pytest.mark.parametrize("L", [32, 128, 512, 2048])
+def test_adjoint_gramian_is_the_frame_bounds_over_redundancy(L):
+    # Duality: two factors of different shape against the dense frame operator.
+    g, lattice, lowest, highest = half_density_gaussian(L)
+    bounds = frame_bounds(g, lattice)
+    r = lattice.redundancy
+    assert lowest == pytest.approx(bounds.frame_lower / r, rel=1e-13)
+    assert highest == pytest.approx(bounds.frame_upper / r, rel=1e-13)
+    assert lowest == pytest.approx(GAUSSIAN_A_OVER_R, rel=1e-13)
+    assert highest == pytest.approx(GAUSSIAN_B_OVER_R, rel=1e-13)
+
+
+@pytest.mark.parametrize("L", [32768, 131072])
+def test_adjoint_gramian_beyond_the_dense_cap(L):
+    # The adjoint Gramian here has (L/2)^2 entries, up to 256 times the cap.
+    _, _, lowest, highest = half_density_gaussian(L)
+    assert lowest == pytest.approx(GAUSSIAN_A_OVER_R, rel=1e-13)
+    assert highest == pytest.approx(GAUSSIAN_B_OVER_R, rel=1e-13)
