@@ -40,7 +40,6 @@ from .operators import (
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
-    multiwindow_frame_operator,
     operator_norms,
     shift_autocorrelation,
     synthesis_map,
@@ -52,7 +51,6 @@ from .twisted import (
     index_commutative,
     janssen_coefficients,
     kernel_basis,
-    left_multiplier_matrix,
     represent,
     right_multiplier_matrix,
     twisted_convolve,

@@ -1,14 +1,15 @@
 """Frame diagnostics: bounds, the fourteen-way equivalence harness, dual
 windows, cross-Gramians, duality checks and sampled-STFT proxy norms.
 
-The harness evaluates, independently and on its own operator matrix, the
-fourteen classical characterizations of the frame property of a system on a
-lattice -- injectivity / invertibility / surjectivity statements about the
-analysis map, the frame operator, the synthesis map, and the adjoint-lattice
+The harness evaluates, independently and on its own operator, the fourteen
+classical characterizations of the frame property of a system on a lattice
+-- injectivity / invertibility / surjectivity statements about the analysis
+map, the frame operator, the synthesis map, and the adjoint-lattice
 analysis, synthesis and Gramian -- and reports whether all fourteen verdicts
-agree.  In exact arithmetic they must; the harness is therefore a
-machine-checkable consistency property, and any disagreement beyond the
-flagged marginal band is an alarm.
+agree.  C and S are dense and D and G come from the window factor, so
+C (i, v) and D (vi, vii) are two routes.  In exact arithmetic all fourteen
+agree; the harness is therefore a machine-checkable consistency property,
+and any disagreement beyond the flagged marginal band is an alarm.
 
 Tolerances: every check reduces to a dimensionless margin (sigma_min over
 sigma_max for first-order operators, its square for the PSD compositions)
@@ -210,11 +211,11 @@ def frame_bounds(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> BoundsReport:
     """Frame bounds from the frame operator spectrum and Riesz bounds from
-    the nonzero spectrum of the smaller of S and the lattice Gramian (the
-    two share it, so the Gramian is decomposed only when n < L)."""
+    the nonzero spectrum of the lattice Gramian, read from the window-factor
+    blocks (:attr:`SystemSpectra.gramian`)."""
     spectra = spectra or SystemSpectra(g, lattice)
     eig_frame = spectra.frame
-    eig_riesz = spectra.gramian if lattice.cardinality < lattice.L else eig_frame
+    eig_riesz = spectra.gramian
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
 
     lower = float(max(eig_frame[0], 0.0))

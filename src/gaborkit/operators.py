@@ -30,9 +30,10 @@ window translates: the factor is d times smaller than that stack, since
 
 The dense builders refuse to allocate beyond a hard entry budget; use the
 ``coefficient_map`` / ``synthesis_map`` / ``frame_operator_apply`` paths for
-long signals.  The Gramian's spectrum comes from the window factor as
-well (:attr:`SystemSpectra.gramian`).  The dense matrices are the reference
-the factorized routes are tested against.
+long signals.  The synthesis and Gramian spectra come from the window
+factor as well (:class:`SystemSpectra`); the analysis and frame operator
+spectra stay dense, so the harness compares the two routes.  The dense
+matrices are the reference the factorized routes are tested against.
 """
 
 from __future__ import annotations
@@ -341,27 +342,15 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     return _twisted_matrix(shift_autocorrelation(g, lattice).values, lattice)
 
 
-def multiwindow_frame_operator(windows, lattice: SeparableLattice) -> np.ndarray:
-    """Frame operator of a multi-window system: the sum of the per-window
-    frame operators."""
-    windows = list(windows)
-    if not windows:
-        raise ShapeMismatchError("multiwindow frame operator needs at least one window")
-    out = frame_operator_matrix(windows[0], lattice)
-    for g in windows[1:]:
-        out = out + frame_operator_matrix(g, lattice)
-    return out
-
-
 class SystemSpectra:
     """The spectra of one window on one lattice, each decomposed on first
     use and then kept; the matrices are not kept.
 
-    Eigenvalues (ascending) of S and of the Gramian, the Gramian's from the
-    window-factor blocks and the rest from dense matrices; singular values
-    (descending) of the analysis and synthesis matrices.  ``table`` maps each
-    lattice to the window's spectra there (:meth:`on`), so each is computed
-    once per (window, lattice); :attr:`adjoint` is the adjoint lattice's entry."""
+    Eigenvalues (ascending) of S and G, and singular values (descending) of
+    C and D; G's and D's from the window-factor blocks (:attr:`factor`), the
+    rest from dense matrices.  ``table`` maps each lattice to the window's
+    spectra there (:meth:`on`), so each is computed once per (window,
+    lattice); :attr:`adjoint` is the adjoint lattice's entry."""
 
     def __init__(self, g, lattice: SeparableLattice, *, table=None):
         self.g = g
@@ -376,6 +365,11 @@ class SystemSpectra:
     @property
     def adjoint(self) -> "SystemSpectra":
         return self.on(self.lattice.adjoint())
+
+    @cached_property
+    def factor(self):
+        """The blocks and scale of :func:`_factor_blocks`; readers guard its q*L entries."""
+        return _factor_blocks(self.g, self.lattice)
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -395,7 +389,7 @@ class SystemSpectra:
         lattice = self.lattice
         _, p, q, _ = _factor_sizes(lattice)
         _guard_dense(q * lattice.L + lattice.cardinality * min(p, q), "Gramian blocks")
-        blocks, _ = _factor_blocks(self.g, lattice)
+        blocks, _ = self.factor
         herm = np.conj(blocks).swapaxes(-1, -2)
         eigs = np.linalg.eigvalsh(blocks @ herm if q <= p else herm @ blocks).reshape(-1)
         zeros = np.zeros(lattice.cardinality - eigs.size)
@@ -407,7 +401,12 @@ class SystemSpectra:
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        return np.linalg.svd(synthesis_matrix(self.g, self.lattice), compute_uv=False)
+        """D's ``min(L, n)`` singular values, one batched SVD of the blocks."""
+        lattice = self.lattice
+        q = _factor_sizes(lattice)[2]
+        _guard_dense(q * lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
+        blocks, scale = self.factor
+        return np.sort(scale * np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
 
 
 def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:

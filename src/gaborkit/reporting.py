@@ -243,7 +243,7 @@ def _task_index(g, lattice, config, rng, spectra):
         "kernel_dimension_surrogate": adjoint.cardinality - int(np.sum(svals > cutoff)),
     }
     if adjoint.has_commuting_shifts:
-        entry["index"] = index_commutative(g, adjoint, config.tol_scale, sigma_max=svals[0])
+        entry["index"] = index_commutative(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
     else:
         # Non-commutative adjoint: the exact module index is not computed;
         # the kernel dimension above is an upper-bound surrogate.
@@ -389,10 +389,10 @@ def sweep(base: AnalysisConfig, pairs=None):
 
     g = base.build_window()
     rows = []
-    spectra = None
+    table = {}
     for a, b in pairs:
         lattice = SeparableLattice(base.length, a, b)
-        spectra = spectra.on(lattice) if spectra else SystemSpectra(g, lattice)
+        spectra = table.get(lattice) or SystemSpectra(g, lattice, table=table)
         bounds = frame_bounds(g, lattice, base.tol_scale, spectra=spectra)
         verdict = check_all_conditions(g, lattice, base.tol_scale, spectra=spectra)
         record = duality_check(g, lattice, base.tol_scale, spectra=spectra)
@@ -410,6 +410,9 @@ def sweep(base: AnalysisConfig, pairs=None):
                 "marginal": verdict.marginal,
             }
         )
+    # Each entry refers to the table: break the cycle, so every lattice's
+    # window factor is freed now and not at the next full collection.
+    table.clear()
 
     if base.out:
         fieldnames = [

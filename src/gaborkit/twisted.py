@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
 from .lattice import SeparableLattice
 from .operators import (
-    _factor_blocks,
+    SystemSpectra,
     _factor_sizes,
     _guard_dense,
     _twisted_matrix,
@@ -178,9 +178,8 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     whole L x n matrix.  A null vector ``u`` of block ``(nu1, sigma, rho)``
     is the grid sequence ``u[k0]`` at ``(nu1, sigma, rho)``, mapped to the
     grid by a length-d inverse FFT over ``nu1 -> k2`` and a length-M FFT
-    over ``rho + c*sigma``.  The scaled block singular values fill the
-    ``synthesis`` spectrum of ``spectra``, the window's on ``lattice``, if
-    not yet computed.
+    over ``rho + c*sigma``.  The blocks come from ``spectra``, the window's
+    entry on ``lattice`` (new when None), whose ``synthesis`` this SVD fills.
 
     Raises :class:`MemoryGuardError` when the block SVD or the basis
     (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
@@ -189,13 +188,13 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     c, p, q, d = _factor_sizes(lattice)
     # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
     _guard_dense(n * q + L * min(p, q), "kernel block SVD")
-    blocks, scale = _factor_blocks(g, lattice)
+    spectra = spectra or SystemSpectra(g, lattice)
+    blocks, scale = spectra.factor
     # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
     u, svals, _ = np.linalg.svd(blocks, full_matrices=q > p)
     svals *= scale
-    if spectra is not None:
-        # cached_property keeps a computed spectrum in the instance dict.
-        vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
+    # cached_property keeps a computed spectrum in the instance dict.
+    vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
     cutoff = rank_tolerance((L, n), svals.max(), tol_scale)
     rank = np.count_nonzero(svals > cutoff, axis=-1)
     nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
@@ -233,7 +232,7 @@ def _character_residuals(lattice: SeparableLattice, blocks, scale) -> np.ndarray
 
 
 def index_commutative(
-    g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, sigma_max=None
+    g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> int:
     """Number of pure-frequency sequences annihilated by the synthesis map,
     for lattices whose shifts mutually commute.
@@ -241,9 +240,9 @@ def index_commutative(
     On a commuting lattice the kernel of the synthesis map is invariant
     under grid translations, so it is spanned by the characters it contains;
     counting those characters gives the kernel's module index.  The count is
-    zero exactly when the dual-side system is a frame.  ``sigma_max`` is the
-    largest singular value of the synthesis matrix when already known;
-    otherwise it comes from a values-only SVD of the window-factor blocks.
+    zero exactly when the dual-side system is a frame.  The window-factor
+    blocks and the largest singular value of the synthesis map come from
+    ``spectra``, the window's entry on ``lattice`` (a new one when None).
     Each character's residual comes from one block (see
     :func:`_character_residuals`), so no L x n matrix is built.
 
@@ -256,9 +255,8 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    blocks, scale = _factor_blocks(g, lattice)
-    if sigma_max is None:
-        sigma_max = scale * np.linalg.svd(blocks, compute_uv=False).max()
-    cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * sigma_max
+    spectra = spectra or SystemSpectra(g, lattice)
+    blocks, scale = spectra.factor
+    cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * spectra.synthesis[0]
     residuals = _character_residuals(lattice, blocks, scale)
     return int(np.count_nonzero(residuals <= cutoff))

@@ -50,3 +50,12 @@ def gramian_block_shape(lattice):
 
     c, p, q, d = _factor_sizes(lattice)
     return (d, q, c, min(p, q), min(p, q))
+
+
+def factor_block_shape(lattice):
+    """Shape of the window-factor blocks whose batched SVD gives
+    ``SystemSpectra.synthesis``: (d, q, c) blocks of size q x p."""
+    from gaborkit.operators import _factor_sizes
+
+    c, p, q, d = _factor_sizes(lattice)
+    return (d, q, c, q, p)

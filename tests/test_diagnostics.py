@@ -26,7 +26,7 @@ from gaborkit import (
     wexler_raz_dual,
     wexler_raz_residual,
 )
-from conftest import gramian_block_shape, random_signal, random_unit_window
+from conftest import factor_block_shape, gramian_block_shape, random_signal, random_unit_window
 from fixtures import (
     CRITICAL_L16_FRAME_UPPER,
     CRITICAL_L16_RIESZ_LOWER_SQ,
@@ -307,7 +307,6 @@ def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
     from gaborkit import SystemSpectra, operator_norms
 
     lat = SeparableLattice(L, a, b)
-    n = lat.cardinality
     g = random_unit_window(rng, L)
 
     def diagnostics(**kwargs):
@@ -331,14 +330,11 @@ def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
             or _real(m, *args, **kw),
         )
     assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
-    # S and the adjoint Gramian once each; the lattice Gramian only when n < L.
-    want = [(L, L), gramian_block_shape(lat.adjoint())] + (
-        [gramian_block_shape(lat)] if n < L else []
-    )
-    assert sorted(shapes["eigvalsh"]) == sorted(want)
-    # Analysis and synthesis on the lattice and on its adjoint, which is the
-    # same lattice, decomposed once, when a*b = L.
+    # The lattice and its adjoint, which is the same lattice when a*b = L:
+    # each one's Gramian, analysis matrix and synthesis blocks once, and S once.
     lattices = {lat, lat.adjoint()}
     assert len(lattices) == (1 if a * b == L else 2)
-    want = [shape for m in lattices for shape in ((m.cardinality, L), (L, m.cardinality))]
+    want = [(L, L)] + [gramian_block_shape(m) for m in lattices]
+    assert sorted(shapes["eigvalsh"]) == sorted(want)
+    want = [shape for m in lattices for shape in ((m.cardinality, L), factor_block_shape(m))]
     assert sorted(shapes["svd"]) == sorted(want)

@@ -1,6 +1,6 @@
 """The factorized (Zak-domain) coefficient and synthesis maps, kernel basis,
-character index and Gramian spectrum against dense oracles: block sizes,
-every divisor lattice of small L, memory, and the entry cap."""
+character index and the Gramian and synthesis spectra against dense oracles:
+block sizes, every divisor lattice of small L, memory, and the entry cap."""
 
 import json
 import math
@@ -200,11 +200,55 @@ def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
 
 def test_sweep_builds_no_dense_gramian(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the sweep built a dense Gramian")
+        raise AssertionError("the sweep built a dense Gramian or synthesis matrix")
 
-    for name in ("gramian_matrix", "_twisted_matrix"):
+    for name in ("gramian_matrix", "_twisted_matrix", "synthesis_matrix"):
         monkeypatch.setattr(operators, name, refuse)
     assert main(["sweep", "--length", "12", "--window", "random"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--length", "16", "--lattice", "2,4", "--tasks",
+     "bounds,conditions,duality,janssen,dual_window,kernel,index,gallery"],
+    ["analyze", "--length", "16", "--lattice", "4,2", "--tasks", "index"],
+    ["dual", "--length", "16", "--lattice", "2,4"],
+    ["gallery"],
+])
+def test_commands_build_no_synthesis_matrix(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built the dense synthesis matrix")
+
+    monkeypatch.setattr(operators, "synthesis_matrix", refuse)
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_synthesis_spectrum_matches_dense_on_every_divisor_lattice(L):
+    rng = np.random.default_rng(400 + L)
+    for lat in divisor_lattices(L):
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            want = np.linalg.svd(synthesis_matrix(g, lat), compute_uv=False)
+            got = SystemSpectra(g, lat).synthesis
+            assert got.shape == want.shape == (min(L, lat.cardinality),), where
+            assert np.abs(got - want).max() <= 1e-13 * want[0], where
+
+
+def test_synthesis_blocks_memory_guard(monkeypatch):
+    # (1, 1) at L = 4096: q = 4096, so the factor alone holds 4096^2 entries
+    # and the 4096 singular values tip it over the cap; refused before the
+    # factor is built.
+    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 16781312 entries"):
+        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).synthesis
+    # (2, 2) at L = 16: q = 4, so the window factor holds 4*16 = 64 entries
+    # and D has min(16, 64) = 16 singular values.
+    g = random_unit_window(np.random.default_rng(13), 16)
+    lat = SeparableLattice(16, 2, 2)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 80)
+    assert SystemSpectra(g, lat).synthesis.shape == (16,)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 79)
+    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 80 entries"):
+        SystemSpectra(g, lat).synthesis
 
 
 def test_gramian_blocks_memory_guard(monkeypatch):

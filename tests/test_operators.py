@@ -15,7 +15,6 @@ from gaborkit import (
     frame_operator_matrix,
     gramian_matrix,
     janssen_coefficients,
-    multiwindow_frame_operator,
     operator_norms,
     periodized_gaussian,
     shift_autocorrelation,
@@ -244,23 +243,6 @@ def test_autocorrelation_matches_direct(rng):
         for l in range(lat.n_freq):
             want = np.vdot(tf_shift(m, lat.point(k, l), g.samples), g.samples)
             assert np.isclose(acf.values[k, l], want, atol=1e-12)
-
-
-def test_multiwindow():
-    L = 8
-    lat = SeparableLattice(L, 2, L)
-    two_deltas = [delta_window(L, 0), delta_window(L, 1)]
-    S = multiwindow_frame_operator(two_deltas, lat)
-    assert np.allclose(S, np.eye(L), atol=1e-13)
-
-    lat2 = SeparableLattice(L, 2, 2)
-    g = Window.unit(periodized_gaussian(L), "g")
-    S1 = frame_operator_matrix(g, lat2)
-    assert np.allclose(multiwindow_frame_operator([g], lat2), S1, atol=0)
-    assert np.allclose(multiwindow_frame_operator([g, g], lat2), 2 * S1, atol=1e-13)
-
-    with pytest.raises(ShapeMismatchError):
-        multiwindow_frame_operator([], lat)
 
 
 def test_synthesis_alternating_critical_is_annihilated():

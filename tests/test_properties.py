@@ -1,6 +1,7 @@
 """Hypothesis properties of the factorized routes: adjointness and S = D C
-against the dense frame operator, and the Gramian spectrum against the
-dense Gramian, over random windows, signals and divisor lattices."""
+against the dense frame operator, and the Gramian and synthesis spectra
+against the dense Gramian and synthesis matrix, over random windows,
+signals and divisor lattices."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gaborkit import (  # noqa: E402
     frame_operator_matrix,
     gramian_matrix,
     synthesis_map,
+    synthesis_matrix,
 )
 from gaborkit.operators import _factor_sizes  # noqa: E402
 from conftest import dense_gramian_spectrum  # noqa: E402
@@ -108,3 +110,14 @@ def test_gramian_spectrum_is_the_dense_one(system):
     got = SystemSpectra(g, lat).gramian
     assert got.shape == want.shape
     assert np.abs(got - want).max() + slack <= 1e-13 * want[-1]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_synthesis_spectrum_is_the_dense_one(system):
+    lat, g, _, _ = system
+    want = np.linalg.svd(synthesis_matrix(g, lat), compute_uv=False)
+    got = SystemSpectra(g, lat).synthesis
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * want[0]

@@ -1,6 +1,7 @@
 """Config validation, the analysis runner, sweeps, file round-trips and
 report determinism."""
 
+import gc
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from gaborkit import (
     AnalysisConfig,
     ConfigError,
     SeparableLattice,
+    SystemSpectra,
     Window,
     divisor_pairs,
     load_window,
@@ -20,7 +22,7 @@ from gaborkit import (
     sweep,
 )
 from gaborkit.reporting import consistency_alarm, jsonable
-from conftest import gramian_block_shape, random_signal
+from conftest import factor_block_shape, gramian_block_shape, random_signal
 from fixtures import CRITICAL_L16_FRAME_UPPER
 from oracles import naive_shift
 
@@ -236,9 +238,23 @@ def test_sweep_decomposes_each_matrix_once(monkeypatch):
     assert sorted(shapes["eigvalsh"]) == sorted(
         shape for m in lattices for shape in ((12, 12), gramian_block_shape(m))
     )
+    # The analysis matrix dense, the synthesis map as one batch of factor blocks.
     assert sorted(shapes["svd"]) == sorted(
-        shape for m in lattices for shape in ((m.cardinality, 12), (12, m.cardinality))
+        shape for m in lattices for shape in ((m.cardinality, 12), factor_block_shape(m))
     )
+
+
+def test_sweep_frees_its_spectra():
+    # Each lattice's entry holds its window factor; none may wait for the
+    # cyclic collector once the sweep returns.
+    gc.collect()
+    gc.disable()
+    try:
+        sweep(AnalysisConfig(length=12, a=1, b=1, window="gaussian"))
+        leftover = [obj for obj in gc.get_objects() if isinstance(obj, SystemSpectra)]
+    finally:
+        gc.enable()
+    assert not leftover
 
 
 def test_sweep_delta_critical_pairs():

@@ -11,6 +11,10 @@ bounds over redundancy that do not depend on L (the finite side of
 Sondergaard, "Gabor frames by sampling and periodization", 2007).  By the
 Ron-Shen / Janssen duality they are the extreme eigenvalues of the Gramian
 on the adjoint lattice ``(2n, 2n)``.
+
+A painless window, whose support is at most ``M = L/b``, has a diagonal
+frame operator, the Walnut diagonal ``M * sum_k |g(t - k*a)|**2``, so the
+squared extreme singular values of the synthesis map are its extremes.
 """
 
 import json
@@ -51,6 +55,28 @@ def test_critical_gaussian_kernel_is_the_alternating_character(L):
     k, l = np.indices(adjoint.grid_shape)
     alternating = (-1.0) ** (k + l) / step
     assert abs(abs(np.vdot(alternating, seq.values)) - 1.0) <= 1e-12
+
+
+def test_index_task_beyond_the_dense_cap(capsys):
+    # The index task alone reads the synthesis spectrum; the L x n synthesis
+    # matrix here would have 2^32 entries.
+    code = main(["analyze", "--length", "65536", "--lattice", "256,256", "--tasks", "index"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["index"] == {
+        "commutative": True, "index": 1, "kernel_dimension_surrogate": 1,
+    }
+
+
+def test_painless_synthesis_spectrum_is_the_walnut_diagonal():
+    L = 65536
+    g = make_window(WindowRecipe.parse("bspline:2:64"), FiniteModel(L))
+    lattice = SeparableLattice(L, 64, 256)
+    assert np.flatnonzero(g.samples)[-1] < lattice.n_freq  # support 127 <= M = 256
+    walnut = lattice.n_freq * np.sum(np.abs(g.samples.reshape(-1, lattice.a)) ** 2, axis=0)
+    svals = SystemSpectra(g, lattice).synthesis
+    assert svals.shape == (L,)
+    assert svals[-1] ** 2 == pytest.approx(walnut.min(), rel=1e-13)
+    assert svals[0] ** 2 == pytest.approx(walnut.max(), rel=1e-13)
 
 
 def test_kernel_command_beyond_the_dense_cap(capsys):

@@ -364,4 +364,6 @@ def test_index_matches_character_loop(L, a, b, recipe):
     cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
     want = int(np.sum(naive_character_residuals(L, a, b, g.samples) <= cutoff))
     assert index_commutative(g, lat) == want
-    assert index_commutative(g, lat, sigma_max=sigma_max) == want
+    spectra = SystemSpectra(g, lat)
+    assert index_commutative(g, lat, spectra=spectra) == want
+    assert abs(spectra.synthesis[0] - sigma_max) <= 1e-13 * sigma_max
