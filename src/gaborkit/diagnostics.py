@@ -38,9 +38,9 @@ from .lattice import SeparableLattice
 from .operators import (
     SystemSpectra,
     Window,
+    _frame_solve,
     atom_stack,
     coefficient_map,
-    frame_operator_matrix,
     synthesis_map,
     window_samples,
 )
@@ -245,10 +245,12 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     The dual is biorthogonal to the adjoint-lattice atoms with the covolume
     constant: ``<dual, shift(mu) g> = (a*b/L) * delta_{mu,0}`` on the
     adjoint lattice (the constant is pinned by the orthonormal-basis and
-    full-lattice cases).  Raises :class:`NotAFrameError` when the system is
-    not a frame at the working tolerance.
+    full-lattice cases).  Raises :class:`NotAFrameError` when the frame
+    spectrum fails condition (ii); else solves on the window factor's p x p
+    blocks (:func:`gaborkit.operators._frame_solve`).
     """
-    eigs = (spectra or SystemSpectra(g, lattice)).frame
+    spectra = spectra or SystemSpectra(g, lattice)
+    eigs = spectra.frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
     if _psd_margin(eigs) <= cut2:
         raise NotAFrameError(
@@ -256,13 +258,10 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
             sigma_min=float(eigs[0]),
             cutoff=cut2 * float(eigs[-1]),
         )
-    dual = np.linalg.solve(frame_operator_matrix(g, lattice), window_samples(g))
-    label = getattr(g, "label", "") or "window"
-    return Window(
-        samples=dual,
-        label=f"wexler-raz-dual({label})",
-        original_norm=float(np.linalg.norm(dual)),
-    )
+    # The frame spectrum's L*L guard bounds the factor (q*L) and the blocks (L*p).
+    dual = _frame_solve(spectra.factor[0], lattice, window_samples(g))
+    label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
+    return Window(samples=dual, label=label, original_norm=float(np.linalg.norm(dual)))
 
 
 def wexler_raz_residual(dual, g, lattice: SeparableLattice) -> float:

@@ -12,28 +12,22 @@ both as explicit matrices for spectral diagnostics and as matrix-free
 applications for long signals.  ``D`` is the conjugate transpose of ``C``
 entrywise, so the adjointness ``<C f, c> = <f, D c>`` holds exactly.
 
-The matrix-free maps are factorized in the Zak domain (Zibulski-Zeevi;
-the window factorization of LTFAT's ``comp_wfac`` and ``comp_dgt_fac``).
-With ``M = L/b`` frequency columns and ``N = L/a`` time rows, the block
-sizes are
+The matrix-free routes are factorized in the Zak domain (Zibulski-Zeevi;
+LTFAT's ``comp_wfac``).  With ``M = L/b`` and ``N = L/a`` the block sizes are
 
     c = gcd(a, M),   p = a/c,   q = M/c,   d = N/q = b/p,
 
-and ``t = rho + c*sigma + M*m`` splits the time axis.  The Zak transform
-(a length-b FFT over ``m``) of the first q window translates is the window
-factor, ``q*L`` entries; the maps reduce to that factor times the Zak
-transform of the signal, summed over ``p`` aliases, plus FFTs of length d
-and M.  Memory is O(q*L) for ``n = N*M <= q*L`` coefficients and work
-O(q*L*log(b) + n*log(n)), against O(N*L) for folding a stack of all N
-window translates: the factor is d times smaller than that stack, since
-``N = q*d``.  The derivation is in ``notes/decisions.md``.
-
-The dense builders refuse to allocate beyond a hard entry budget; use the
-``coefficient_map`` / ``synthesis_map`` / ``frame_operator_apply`` paths for
-long signals.  The synthesis and Gramian spectra come from the window
-factor as well (:class:`SystemSpectra`); the analysis and frame operator
-spectra stay dense, so the harness compares the two routes.  The dense
-matrices are the reference the factorized routes are tested against.
+and ``t = rho + c*sigma + M*m`` splits the time axis.  :func:`_zak` (a
+length-b FFT over ``m``) and :func:`_unzak` are the Zak transform and its
+inverse.  The window factor is the Zak transform of the first q window
+translates, ``c*q*d`` blocks of q x p, ``q*L`` entries.  The maps are the
+factor times the Zak transform of the signal plus FFTs of length d and M;
+S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``, so the
+canonical dual is one batched solve of them (:func:`_frame_solve`), and the
+synthesis and Gramian spectra are the blocks' too (:class:`SystemSpectra`).
+The analysis and frame operator spectra stay dense, so the harness compares
+two routes; the dense builders, refused beyond a hard entry budget, are the
+reference the factorized routes are tested against (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -158,55 +152,61 @@ def _factor_sizes(lattice):
     return c, p, n_freq // c, lattice.b // p
 
 
-def _window_factor(g, lattice):
-    """The window factor of ``g`` on ``lattice``, shape (q, p, d, q, c).
+def _zak(lattice, f):
+    """The Zak transform, shape (..., L) -> (..., d, q, c, p): entry
+    ``[nu1, sigma, rho, nu2]`` is the length-b DFT over ``m`` of
+    ``f(rho + c*sigma + M*m)`` at ``nu = nu1 + d*nu2``."""
+    c, p, q, d = _factor_sizes(lattice)
+    lead, k = f.shape[:-1], f.ndim - 1  # transpose, as moveaxis costs ~3 us a call
+    zak = np.fft.fft(f.reshape(*lead, lattice.b, lattice.n_freq), axis=-2)
+    return zak.reshape(*lead, p, d, q, c).transpose(*range(k), k + 1, k + 2, k + 3, k)
 
-    Entry ``[k0, nu2, nu1, sigma, rho]`` is the conjugated length-b DFT
-    over ``m`` of ``g(rho + c*sigma + M*m - k0*a)``, at ``nu = nu1 + d*nu2``:
-    the Zak transform of the first q window translates.  Writing
-    ``sigma - k0*p = sigma' + q*s`` (``0 <= sigma' < q``), it equals
-    ``conj(Zg[nu, sigma', rho]) * exp(-2*pi*i*nu*s/b)``.
+
+def _unzak(lattice, zak):
+    """The inverse of :func:`_zak`, shape (..., d, q, c, p) -> (..., L)."""
+    lead, k = zak.shape[:-4], zak.ndim - 4
+    rows = zak.transpose(*range(k), k + 3, k, k + 1, k + 2).reshape(*lead, lattice.b, lattice.n_freq)
+    return np.fft.ifft(rows, axis=-2).reshape(*lead, lattice.L)
+
+
+def _window_factor(g, lattice):
+    """The window factor of ``g`` on ``lattice`` and the scale ``sqrt(M/p)``:
+    ``c*q*d`` blocks ``W[nu1, sigma, rho]`` of q x p (``k0`` x ``nu2``),
+    shape (d, q, c, q, p), where ``W[..., k0, :]`` is the conjugated Zak
+    transform of the translate ``g(t - k0*a)``.  Up to unitary FFTs, C is
+    the block diagonal of the blocks times the scale.
     """
     g = window_samples(g)
     L = lattice.L
     if g.shape != (L,):
         raise ShapeMismatchError(f"window length {g.shape} does not match L={L}")
-    c, p, q, d = _factor_sizes(lattice)
+    _, p, q, _ = _factor_sizes(lattice)
     idx = (np.arange(L)[None, :] - lattice.a * np.arange(q)[:, None]) % L
-    zak = np.fft.fft(g[idx].reshape(q, lattice.b, q, c), axis=1)
-    return np.conj(zak).reshape(q, p, d, q, c)
+    blocks = np.conj(_zak(lattice, g[idx])).transpose(1, 2, 3, 0, 4)
+    return blocks, math.sqrt(lattice.n_freq / p)
 
 
-def _factor_blocks(g, lattice):
-    """The window factor as ``c*q*d`` blocks ``W[:, :, nu1, sigma, rho]`` of
-    size q x p (``k0`` x ``nu2``), shape (d, q, c, q, p), and the scale
-    ``sqrt(M/p)``.
-
-    Up to unitary FFTs on both sides, the analysis matrix is the block
-    diagonal of the blocks times that scale, so its singular values (and
-    the synthesis matrix's) are the blocks' times the scale.
-    """
-    factor = _window_factor(g, lattice)
-    return factor.transpose(2, 3, 4, 0, 1), math.sqrt(lattice.n_freq / factor.shape[1])
+def _analyze(blocks, lattice, f):
+    """Coefficients of ``f`` from the window-factor blocks, shape (L/a, L/b)."""
+    folded = np.fft.ifft(np.einsum("nsrv,nsrkv->nksr", _zak(lattice, f), blocks), axis=0)
+    return np.fft.fft(folded.reshape(lattice.grid_shape), axis=1) / blocks.shape[-1]
 
 
-def _analyze(factor, lattice, f):
-    """Coefficients of ``f`` from a window factor, shape (L/a, L/b)."""
-    q, p, d, _, c = factor.shape
-    zak = np.fft.fft(f.reshape(lattice.b, q, c), axis=0).reshape(p, d, q, c)
-    folded = np.fft.ifft(np.einsum("vnsr,kvnsr->nksr", zak, factor), axis=0)
-    return np.fft.fft(folded.reshape(lattice.grid_shape), axis=1) / p
-
-
-def _synthesize(factor, lattice, values):
+def _synthesize(blocks, lattice, values):
     """The exact adjoint of :func:`_analyze`: a length-L signal per grid of
     ``values``, shape (..., L/a, L/b) -> (..., L)."""
-    q, p, d, _, c = factor.shape
+    d, q, c = blocks.shape[:3]
     lead = values.shape[:-2]
     rows = np.fft.fft(np.fft.ifft(values, axis=-1).reshape(*lead, d, q, q, c), axis=-4)
-    zak = np.einsum("kvnsr,...nksr->...vnsr", np.conj(factor), rows)
-    signal = np.fft.ifft(zak.reshape(*lead, lattice.b, q, c), axis=-3)
-    return lattice.n_freq * signal.reshape(*lead, lattice.L)
+    zak = np.einsum("nsrkv,...nksr->...nsrv", np.conj(blocks), rows)
+    return lattice.n_freq * _unzak(lattice, zak)
+
+
+def _frame_solve(blocks, lattice, f):
+    """``S^-1 f`` from the window-factor blocks: one batched solve of the
+    p x p blocks ``(M/p) W^H W`` on the Zak transform of ``f``."""
+    frame_blocks = lattice.n_freq / blocks.shape[-1] * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
+    return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
 
 
 def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
@@ -221,7 +221,7 @@ def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
     O(L*L/a) for the fold itself (``L/a = q*d``).
     """
     f = _check_signal(lattice, f)
-    return LatticeCoefficients(_analyze(_window_factor(g, lattice), lattice, f), lattice)
+    return LatticeCoefficients(_analyze(_window_factor(g, lattice)[0], lattice, f), lattice)
 
 
 def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
@@ -245,15 +245,15 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
                 f"coefficient shape {values.shape} does not match lattice grid "
                 f"{lattice.grid_shape}"
             )
-    return _synthesize(_window_factor(g, lattice), lattice, values)
+    return _synthesize(_window_factor(g, lattice)[0], lattice, values)
 
 
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
-    """Apply the frame operator S = D C without forming matrices; the
-    window factor is built once."""
+    """Apply S = D C without forming matrices, from one window factor; not
+    through the p x p blocks of :func:`_frame_solve`, so it checks that solve."""
     f = _check_signal(lattice, f)
-    factor = _window_factor(g, lattice)
-    return _synthesize(factor, lattice, _analyze(factor, lattice, f))
+    blocks, _ = _window_factor(g, lattice)
+    return _synthesize(blocks, lattice, _analyze(blocks, lattice, f))
 
 
 def atom_stack(g, lattice: SeparableLattice) -> np.ndarray:
@@ -368,8 +368,8 @@ class SystemSpectra:
 
     @cached_property
     def factor(self):
-        """The blocks and scale of :func:`_factor_blocks`; readers guard its q*L entries."""
-        return _factor_blocks(self.g, self.lattice)
+        """The blocks and scale of :func:`_window_factor`; readers guard its q*L entries."""
+        return _window_factor(self.g, self.lattice)
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -381,7 +381,7 @@ class SystemSpectra:
         matrix is built.
 
         Up to unitary FFTs, G is the block diagonal of the q x q products
-        ``W W^H`` times ``M/p`` (see :func:`_factor_blocks`).  When q > p a
+        ``W W^H`` times ``M/p`` (see :func:`_window_factor`).  When q > p a
         block's nonzero eigenvalues are those of the p x p ``W^H W``, and its
         other q - p are exact zeros, so the products hold at most
         n*min(p, q) entries.

@@ -354,6 +354,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
             handle.write("\n")
     if config.spectra:
         _write_spectra(config.spectra, spectra)
+    spectra.table.clear()  # break the table's cycle, as sweep does
     return report
 
 

@@ -172,7 +172,7 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
 
     Up to unitary FFTs, the synthesis map is the block diagonal of the
     conjugate transposes of the window-factor blocks ``W`` (q x p, one per
-    ``(nu1, sigma, rho)``; see :func:`gaborkit.operators._factor_blocks`), so
+    ``(nu1, sigma, rho)``; see :func:`gaborkit.operators._window_factor`), so
     its nullspace is the sum of the blocks' left nullspaces: the left
     singular vectors of each block past its rank, at the rank cutoff of the
     whole L x n matrix.  A null vector ``u`` of block ``(nu1, sigma, rho)``

@@ -1,6 +1,7 @@
 """The factorized (Zak-domain) coefficient and synthesis maps, kernel basis,
-character index and the Gramian and synthesis spectra against dense oracles:
-block sizes, every divisor lattice of small L, memory, and the entry cap."""
+character index, canonical dual and the Gramian and synthesis spectra
+against dense oracles: block sizes, every divisor lattice of small L,
+memory, and the entry cap."""
 
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from gaborkit import (
     MemoryGuardError,
+    NotAFrameError,
     SeparableLattice,
     SystemSpectra,
     Window,
@@ -25,10 +27,11 @@ from gaborkit import (
     rank_tolerance,
     synthesis_map,
     synthesis_matrix,
+    wexler_raz_dual,
 )
-from gaborkit import operators
+from gaborkit import diagnostics, operators, reporting
 from gaborkit.cli import main
-from gaborkit.operators import _factor_blocks, _factor_sizes
+from gaborkit.operators import _factor_sizes, _unzak, _window_factor, _zak
 from gaborkit.tolerances import margin_cutoff
 from gaborkit.twisted import _character_residuals
 from conftest import dense_gramian_spectrum, random_signal, random_unit_window
@@ -52,6 +55,24 @@ def test_factor_sizes_tile_the_lattice():
             assert math.gcd(p, q) == 1
             corners.update(name for name, size in zip("cpqd", (c, p, q, d)) if size == 1)
     assert corners == set("cpqd")
+
+
+def test_zak_transform_layout_and_inverse():
+    rng = np.random.default_rng(3)
+    for L in range(2, MAX_ORACLE_LENGTH + 1):
+        for lat in divisor_lattices(L):
+            c, p, q, d = _factor_sizes(lat)
+            f = random_signal(rng, 2 * L).reshape(2, L)
+            m = np.arange(lat.b)
+            dft = np.exp(-2j * np.pi * (np.outer(m, m) % lat.b) / lat.b)
+            # Entry [nu2, nu1, sigma, rho] at nu = nu1 + d*nu2 of the DFT over
+            # m of f(rho + c*sigma + M*m).
+            want = (dft @ f.reshape(2, lat.b, q * c)).reshape(2, p, d, q, c)
+            got = _zak(lat, f)
+            where = f"(L, a, b) = {(L, lat.a, lat.b)}"
+            assert got.shape == (2, d, q, c, p), where
+            assert np.abs(got - np.moveaxis(want, 1, -1)).max() <= 1e-12, where
+            assert np.abs(_unzak(lat, got) - f).max() <= 1e-14, where
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
@@ -102,6 +123,7 @@ def test_synthesis_map_takes_a_stack_of_grids():
         stack = random_signal(rng, 3 * 2 * lat.cardinality).reshape(3, 2, *lat.grid_shape)
         got = synthesis_map(g, lat, stack)
         assert got.shape == (3, 2, L)
+        assert synthesis_map(g, lat, stack[:0]).shape == (0, 2, L)  # an empty kernel basis
         for index in np.ndindex(3, 2):
             want = synthesis_map(g, lat, stack[index])
             assert np.linalg.norm(got[index] - want) <= 1e-14 * np.linalg.norm(want)
@@ -147,7 +169,7 @@ def test_character_residuals_and_index_match_the_loop(L):
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             want = naive_character_residuals(L, lat.a, lat.b, g.samples)
             sigma_max = np.linalg.norm(synthesis_matrix(g, lat), 2)
-            got = _character_residuals(lat, *_factor_blocks(g, lat))
+            got = _character_residuals(lat, *_window_factor(g, lat))
             assert np.abs(got - want).max() <= 1e-13 * sigma_max, where
             cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
             assert index_commutative(g, lat) == int(np.sum(want <= cutoff)), where
@@ -265,3 +287,44 @@ def test_gramian_blocks_memory_guard(monkeypatch):
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
     with pytest.raises(MemoryGuardError, match="Gramian blocks would need 128 entries"):
         SystemSpectra(g, lat).gramian
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_dual_matches_dense_solve_on_every_divisor_lattice(L):
+    rng = np.random.default_rng(500 + L)
+    for lat in divisor_lattices(L):
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            try:
+                got = wexler_raz_dual(g, lat).samples
+            except NotAFrameError:
+                continue
+            S = frame_operator_matrix(g, lat)
+            eigs = np.linalg.eigvalsh(S)
+            want = np.linalg.solve(S, g.samples)
+            # Both routes are backward stable: each is off by about EPS*kappa.
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err <= 16 * np.finfo(float).eps * eigs[-1] / eigs[0], where
+
+
+@pytest.mark.parametrize("length,lattice", [("48", "8,4"), ("36", "4,3"), ("24", "1,12")])
+def test_dual_command_builds_s_once_and_solves_only_blocks(monkeypatch, capsys, length, lattice):
+    # (c, p, q, d) = (4, 2, 3, 2), (4, 1, 3, 3) and (1, 1, 2, 12).
+    builds, solved = [], []
+    real_build, real_solve = operators.frame_operator_matrix, np.linalg.solve
+
+    def build(*args, **kwargs):
+        builds.append(args[1])
+        return real_build(*args, **kwargs)
+
+    # Counted wherever the builder's name is bound.
+    for module in (operators, diagnostics, reporting):
+        if hasattr(module, "frame_operator_matrix"):
+            monkeypatch.setattr(module, "frame_operator_matrix", build)
+    monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: solved.append(m.shape) or real_solve(m, rhs))
+    assert main(["dual", "--length", length, "--lattice", lattice]) == 0
+    assert json.loads(capsys.readouterr().out)["biorthogonality_residual"] <= 1e-10
+    lat = SeparableLattice(int(length), *map(int, lattice.split(",")))
+    c, p, q, d = _factor_sizes(lat)
+    assert builds == [lat]
+    assert solved == [(d, q, c, p, p)]

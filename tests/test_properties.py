@@ -1,7 +1,7 @@
-"""Hypothesis properties of the factorized routes: adjointness and S = D C
-against the dense frame operator, and the Gramian and synthesis spectra
-against the dense Gramian and synthesis matrix, over random windows,
-signals and divisor lattices."""
+"""Hypothesis properties of the factorized routes: adjointness, S = D C and
+the canonical dual against the dense frame operator, and the Gramian and
+synthesis spectra against the dense Gramian and synthesis matrix, over
+random windows, signals and divisor lattices."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from gaborkit import (  # noqa: E402
+    NotAFrameError,
     SeparableLattice,
     SystemSpectra,
     analysis_matrix,
@@ -19,8 +20,10 @@ from gaborkit import (  # noqa: E402
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
+    margin_cutoff,
     synthesis_map,
     synthesis_matrix,
+    wexler_raz_dual,
 )
 from gaborkit.operators import _factor_sizes  # noqa: E402
 from conftest import dense_gramian_spectrum  # noqa: E402
@@ -121,3 +124,18 @@ def test_synthesis_spectrum_is_the_dense_one(system):
     got = SystemSpectra(g, lat).synthesis
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * want[0]
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_dual_solves_the_dense_frame_operator(system):
+    lat, g, _, _ = system
+    S = frame_operator_matrix(g, lat)
+    try:
+        dual = wexler_raz_dual(g, lat).samples
+    except NotAFrameError:
+        eigs = np.linalg.eigvalsh(S)
+        assert eigs[0] <= margin_cutoff((lat.L, lat.cardinality)) ** 2 * eigs[-1]
+        return
+    assert np.linalg.norm(S @ dual - g) <= RTOL * np.linalg.norm(S, 2) * np.linalg.norm(dual)

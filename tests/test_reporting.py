@@ -21,7 +21,7 @@ from gaborkit import (
     save_window,
     sweep,
 )
-from gaborkit.reporting import consistency_alarm, jsonable
+from gaborkit.reporting import TASKS, consistency_alarm, jsonable
 from conftest import factor_block_shape, gramian_block_shape, random_signal
 from fixtures import CRITICAL_L16_FRAME_UPPER
 from oracles import naive_shift
@@ -242,6 +242,19 @@ def test_sweep_decomposes_each_matrix_once(monkeypatch):
     assert sorted(shapes["svd"]) == sorted(
         shape for m in lattices for shape in ((m.cardinality, 12), factor_block_shape(m))
     )
+
+
+def test_run_frees_its_spectra():
+    # The lattice's entry and its adjoint's, each with a cached window
+    # factor; neither may wait for the cyclic collector once run returns.
+    gc.collect()
+    gc.disable()
+    try:
+        run(AnalysisConfig(length=12, a=2, b=3, tasks=tuple(t for t in TASKS if t != "gallery")))
+        leftover = [obj for obj in gc.get_objects() if isinstance(obj, SystemSpectra)]
+    finally:
+        gc.enable()
+    assert not leftover
 
 
 def test_sweep_frees_its_spectra():

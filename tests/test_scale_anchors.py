@@ -14,7 +14,8 @@ on the adjoint lattice ``(2n, 2n)``.
 
 A painless window, whose support is at most ``M = L/b``, has a diagonal
 frame operator, the Walnut diagonal ``M * sum_k |g(t - k*a)|**2``, so the
-squared extreme singular values of the synthesis map are its extremes.
+squared extreme singular values of the synthesis map are its extremes, and
+the canonical dual is the window divided by that diagonal.
 """
 
 import json
@@ -34,6 +35,7 @@ from gaborkit import (
     synthesis_map,
 )
 from gaborkit.cli import main
+from gaborkit.operators import _frame_solve
 
 #: Frame bounds over redundancy of the periodized Gaussian on (n, n), L = 2n^2.
 GAUSSIAN_A_OVER_R = 0.83462684167407
@@ -67,12 +69,19 @@ def test_index_task_beyond_the_dense_cap(capsys):
     }
 
 
+def painless_system(recipe, L, a, b):
+    """A window whose support fits in ``M = L/b``, its lattice and its
+    Walnut diagonal over one period ``a``."""
+    g = make_window(WindowRecipe.parse(recipe), FiniteModel(L))
+    lattice = SeparableLattice(L, a, b)
+    assert np.flatnonzero(g.samples)[-1] < lattice.n_freq
+    walnut = lattice.n_freq * np.sum(np.abs(g.samples.reshape(-1, a)) ** 2, axis=0)
+    return g, lattice, walnut
+
+
 def test_painless_synthesis_spectrum_is_the_walnut_diagonal():
     L = 65536
-    g = make_window(WindowRecipe.parse("bspline:2:64"), FiniteModel(L))
-    lattice = SeparableLattice(L, 64, 256)
-    assert np.flatnonzero(g.samples)[-1] < lattice.n_freq  # support 127 <= M = 256
-    walnut = lattice.n_freq * np.sum(np.abs(g.samples.reshape(-1, lattice.a)) ** 2, axis=0)
+    g, lattice, walnut = painless_system("bspline:2:64", L, 64, 256)  # support 127 <= M = 256
     svals = SystemSpectra(g, lattice).synthesis
     assert svals.shape == (L,)
     assert svals[-1] ** 2 == pytest.approx(walnut.min(), rel=1e-13)
@@ -119,3 +128,16 @@ def test_adjoint_gramian_beyond_the_dense_cap(L):
     _, _, lowest, highest = half_density_gaussian(L)
     assert lowest == pytest.approx(GAUSSIAN_A_OVER_R, rel=1e-13)
     assert highest == pytest.approx(GAUSSIAN_B_OVER_R, rel=1e-13)
+
+
+@pytest.mark.parametrize("recipe,L,a,b", [
+    ("bspline:2:32", 49152, 48, 768),  # p = 3, M = 64
+    ("bspline:2:64", 65536, 64, 256),  # p = 1, M = 256
+])
+def test_painless_dual_is_the_window_over_the_walnut_diagonal(recipe, L, a, b):
+    # The dense frame operator here would have L^2 >= 2^31 entries.
+    g, lattice, walnut = painless_system(recipe, L, a, b)
+    assert walnut.min() > 0.0
+    want = g.samples / np.tile(walnut, L // a)
+    got = _frame_solve(SystemSpectra(g, lattice).factor[0], lattice, g.samples)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
