@@ -19,12 +19,16 @@ LTFAT's ``comp_wfac``).  With ``M = L/b`` and ``N = L/a`` the block sizes are
 
 and ``t = rho + c*sigma + M*m`` splits the time axis.  :func:`_zak` (a
 length-b FFT over ``m``) and :func:`_unzak` are the Zak transform and its
-inverse.  The window factor is the Zak transform of the first q window
-translates, ``c*q*d`` blocks of q x p, ``q*L`` entries.  The maps are the
-factor times the Zak transform of the signal plus FFTs of length d and M;
-S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``, so the
-canonical dual is one batched solve of them (:func:`_frame_solve`), and the
-synthesis and Gramian spectra are the blocks' too (:class:`SystemSpectra`).
+inverse.  The window factor, ``c*q*d`` blocks of q x p (``q*L`` entries),
+holds the conjugated Zak transforms of the first q window translates;
+:func:`_window_factor` reads them all from one Zak table of the window by
+the shift identity, with no translate gathered.  The maps are the factor
+times the Zak transform of the signal plus FFTs of length d and M, run in
+place on one grid-sized array, with the scalings folded into the FFTs'
+``norm``.  S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``,
+so the canonical dual is one batched solve of them (:func:`_frame_solve`),
+and the synthesis and Gramian spectra are the blocks' too
+(:class:`SystemSpectra`).
 The analysis and frame operator spectra stay dense, so the harness compares
 two routes; the dense builders, refused beyond a hard entry budget, are the
 reference the factorized routes are tested against (``notes/decisions.md``).
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -152,13 +156,14 @@ def _factor_sizes(lattice):
     return c, p, n_freq // c, lattice.b // p
 
 
-def _zak(lattice, f):
+def _zak(lattice, f, norm=None):
     """The Zak transform, shape (..., L) -> (..., d, q, c, p): entry
     ``[nu1, sigma, rho, nu2]`` is the length-b DFT over ``m`` of
-    ``f(rho + c*sigma + M*m)`` at ``nu = nu1 + d*nu2``."""
+    ``f(rho + c*sigma + M*m)`` at ``nu = nu1 + d*nu2``, scaled as ``norm``
+    scales :func:`numpy.fft.fft`."""
     c, p, q, d = _factor_sizes(lattice)
     lead, k = f.shape[:-1], f.ndim - 1  # transpose, as moveaxis costs ~3 us a call
-    zak = np.fft.fft(f.reshape(*lead, lattice.b, lattice.n_freq), axis=-2)
+    zak = np.fft.fft(f.reshape(*lead, lattice.b, lattice.n_freq), axis=-2, norm=norm)
     return zak.reshape(*lead, p, d, q, c).transpose(*range(k), k + 1, k + 2, k + 3, k)
 
 
@@ -169,37 +174,96 @@ def _unzak(lattice, zak):
     return np.fft.ifft(rows, axis=-2).reshape(*lead, lattice.L)
 
 
+def _view(base, offset, shape, strides):
+    """A view of ``base``; ``offset`` and ``strides`` count its items."""
+    size = base.itemsize
+    return np.ndarray(shape, base.dtype, base, offset * size, [s * size for s in strides])
+
+
+@lru_cache(maxsize=64)
+def _wrap_phase(b, p, q):
+    """``exp(2*pi*i*nu*w*k0/b)`` with ``w = p // q``, shape (p, d, 1, 1, q),
+    read-only: see :func:`_window_factor`.  Cached, as at small L building
+    it costs as much as the rest of the factor."""
+    nu_k0 = np.outer(np.arange(b), (p // q) * np.arange(q)) % b
+    phase = np.exp(2j * np.pi / b * nu_k0).reshape(p, b // p, 1, 1, q)
+    phase.flags.writeable = False
+    return phase
+
+
 def _window_factor(g, lattice):
     """The window factor of ``g`` on ``lattice`` and the scale ``sqrt(M/p)``:
     ``c*q*d`` blocks ``W[nu1, sigma, rho]`` of q x p (``k0`` x ``nu2``),
     shape (d, q, c, q, p), where ``W[..., k0, :]`` is the conjugated Zak
     transform of the translate ``g(t - k0*a)``.  Up to unitary FFTs, C is
     the block diagonal of the blocks times the scale.
+
+    Built from one Zak table by the shift identity, not from q translates.
+    The translate by ``k0*a`` moves ``sigma`` to ``sigma - p*k0``, and the
+    Zak transform is quasi-periodic in ``sigma``: a step of q multiplies it
+    by ``exp(2*pi*i*nu/b)``.  Write ``p = p' + q*w`` with ``p' < q``.  One
+    FFT of length b over ``T + 1`` consecutive periods of g,
+    ``T = ceil(p'*(q-1)/q)``, is a table of the Zak transform at every
+    ``sigma - p'*k0``, at most q*L entries; row ``k0`` of every block is a
+    fixed stride into it, so the blocks are one conjugating strided copy.
+    The ``w*k0`` whole periods left over are the phase of
+    :func:`_wrap_phase`, which is 1 unless p > q > 1.
     """
     g = window_samples(g)
     L = lattice.L
     if g.shape != (L,):
         raise ShapeMismatchError(f"window length {g.shape} does not match L={L}")
-    _, p, q, _ = _factor_sizes(lattice)
-    idx = (np.arange(L)[None, :] - lattice.a * np.arange(q)[:, None]) % L
-    blocks = np.conj(_zak(lattice, g[idx])).transpose(1, 2, 3, 0, 4)
-    return blocks, math.sqrt(lattice.n_freq / p)
+    c, p, q, d = _factor_sizes(lattice)
+    b, M = lattice.b, lattice.n_freq
+    step = p % q
+    extra = -(-step * (q - 1) // q)  # T
+    # Row m + i of the periods is g(t + M*(m + i - T)), 0 <= t < M, so the
+    # FFT over m is the Zak transform at sigma + q*(i - T).
+    periods = np.concatenate((g[L - extra * M:], g))
+    table = np.fft.fft(_view(periods, 0, (b, extra + 1, M), (M, M, 1)), axis=0)
+    width = (extra + 1) * M
+    blocks = np.empty((d, q, c, q, p), dtype=complex)
+    view = blocks.transpose(4, 0, 1, 2, 3)  # [nu2, nu1, sigma, rho, k0]
+    np.conj(_view(table, extra * M, (p, d, q, c, q), (d * width, width, c, 1, -step * c)), out=view)
+    if p > q > 1:
+        view *= _wrap_phase(b, p, q)
+    return blocks, math.sqrt(M / p)
 
 
 def _analyze(blocks, lattice, f):
-    """Coefficients of ``f`` from the window-factor blocks, shape (L/a, L/b)."""
-    folded = np.fft.ifft(np.einsum("nsrv,nsrkv->nksr", _zak(lattice, f), blocks), axis=0)
-    return np.fft.fft(folded.reshape(lattice.grid_shape), axis=1) / blocks.shape[-1]
+    """Coefficients of ``f`` from the window-factor blocks, shape (L/a, L/b).
+
+    The contraction is written straight into the grid's ``[nu1, k0, sigma,
+    rho]`` layout and both FFTs run in place; ``1/b`` is the Zak
+    transform's ``norm``."""
+    d, q, c = blocks.shape[:3]
+    zak = _zak(lattice, f, norm="forward")
+    grid = np.empty((d, q, q, c), dtype=complex)
+    np.einsum("nsrv,nsrkv->nksr", zak, blocks, out=grid)
+    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
+    grid = grid.reshape(lattice.grid_shape)
+    return np.fft.fft(grid, axis=1, out=grid)
 
 
 def _synthesize(blocks, lattice, values):
     """The exact adjoint of :func:`_analyze`: a length-L signal per grid of
-    ``values``, shape (..., L/a, L/b) -> (..., L)."""
-    d, q, c = blocks.shape[:3]
+    ``values``, shape (..., L/a, L/b) -> (..., L).
+
+    ``sum conj(W) R = conj(sum W conj(R))``: the rows are conjugated as
+    they are copied from ``values`` and the L-size result at the end, so no
+    conjugate of the blocks is made.  The FFTs run in place, and ``1/b`` is
+    the last one's ``norm``."""
+    d, q, c, _, p = blocks.shape
     lead = values.shape[:-2]
-    rows = np.fft.fft(np.fft.ifft(values, axis=-1).reshape(*lead, d, q, q, c), axis=-4)
-    zak = np.einsum("nsrkv,...nksr->...nsrv", np.conj(blocks), rows)
-    return lattice.n_freq * _unzak(lattice, zak)
+    rows = np.conj(values)  # conj(M * IFFT_M(values)) = FFT_M(conj(values))
+    np.fft.fft(rows, axis=-1, out=rows)
+    rows = rows.reshape(*lead, d, q, q, c)
+    np.fft.ifft(rows, axis=-4, norm="forward", out=rows)
+    zak = np.empty((*lead, p, d, q, c), dtype=complex)  # the (b, M) rows of the Zak domain
+    np.einsum("nsrkv,...nksr->...vnsr", blocks, rows, out=zak)
+    signal = zak.reshape(*lead, lattice.b, lattice.n_freq)
+    np.fft.fft(signal, axis=-2, norm="forward", out=signal)
+    return np.conj(signal, out=signal).reshape(*lead, lattice.L)
 
 
 def _frame_solve(blocks, lattice, f):
@@ -228,8 +292,8 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     """Synthesize ``sum_{k,l} c[k, l] * shift((k*a, l*b)) g``.
 
     The exact adjoint of :func:`coefficient_map`, through the same window
-    factor conjugated: per time row an inverse length-M FFT, a length-d FFT
-    over ``k2``, the factor summed over ``k0``, and an inverse Zak
+    factor: per time row an inverse length-M FFT, a length-d FFT over
+    ``k2``, the conjugated factor summed over ``k0``, and an inverse Zak
     transform.  Same cost as :func:`coefficient_map`.  A stack of
     coefficient grids, shape (..., L/a, L/b), gives one signal per grid
     from one window factor.

@@ -265,7 +265,11 @@ def _task_gallery(g, lattice, config, rng, spectra):
     pou_window = make_window(WindowRecipe("bspline", order=1, widths=(4,)), pou_model)
     pou_lattice, pou_sequence = partition_of_unity_kernel(pou_window, pou_period=4, phases=2)
     out = synthesis_map(pou_window, pou_lattice.adjoint(), pou_sequence.values)
-    verdict = check_all_conditions(pou_window, pou_lattice, config.tol_scale)
+    pou_spectra = SystemSpectra(pou_window, pou_lattice)
+    try:
+        verdict = check_all_conditions(pou_window, pou_lattice, config.tol_scale, spectra=pou_spectra)
+    finally:
+        pou_spectra.table.clear()
     return {
         "alternating_ladder": ladder,
         "partition_of_unity": {
@@ -298,9 +302,15 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     config.validate()
     lattice = config.lattice()
     g = config.build_window()
-    rng = np.random.default_rng(config.seed)
     spectra = SystemSpectra(g, lattice)
+    try:
+        return _report(config, g, lattice, spectra)
+    finally:
+        spectra.table.clear()  # break the table's cycle, as sweep does, also when a task raises
 
+
+def _report(config, g, lattice, spectra):
+    rng = np.random.default_rng(config.seed)
     first_order_cut = margin_cutoff(
         (lattice.L, lattice.cardinality, lattice.adjoint().cardinality), config.tol_scale
     )
@@ -354,7 +364,6 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
             handle.write("\n")
     if config.spectra:
         _write_spectra(config.spectra, spectra)
-    spectra.table.clear()  # break the table's cycle, as sweep does
     return report
 
 

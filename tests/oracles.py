@@ -131,3 +131,24 @@ def naive_character_residuals(L, a, b, g):
             char = np.array([np.exp(2j * np.pi * (x1 * k / nt + x2 * l / nf)) for k, l in points])
             out[x1, x2] = np.linalg.norm(D @ char) / np.linalg.norm(char)
     return out
+
+
+def translate_window_factor(L, a, b, g):
+    """The window factor in its translate form, shape (d, q, c, q, p):
+    ``W[nu1, sigma, rho, k0, nu2]`` is the conjugated length-b DFT over
+    ``m`` of the translate ``g(rho + c*sigma + M*m - k0*a)`` at
+    ``nu = nu1 + d*nu2``, with ``M = L/b``, ``c = gcd(a, M)``, ``a = c*p``,
+    ``M = c*q`` and ``b = p*d``.  The q translates are gathered one by one
+    and the DFT is an explicit matrix product."""
+    M = L // b
+    c = int(np.gcd(a, M))
+    p, q = a // c, M // c
+    d = b // p
+    m = np.arange(b)
+    dft = np.exp(-2j * np.pi * (np.outer(m, m) % b) / b)
+    zak = np.zeros((q, b, M), dtype=complex)
+    for k0 in range(q):
+        translate = np.array([g[(t - k0 * a) % L] for t in range(L)])
+        zak[k0] = dft @ translate.reshape(b, M)
+    # [k0, nu2, nu1, sigma, rho] -> [nu1, sigma, rho, k0, nu2]
+    return np.conj(zak).reshape(q, p, d, q, c).transpose(2, 3, 4, 0, 1)

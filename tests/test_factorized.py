@@ -35,7 +35,7 @@ from gaborkit.operators import _factor_sizes, _unzak, _window_factor, _zak
 from gaborkit.tolerances import margin_cutoff
 from gaborkit.twisted import _character_residuals
 from conftest import dense_gramian_spectrum, random_signal, random_unit_window
-from oracles import naive_character_residuals
+from oracles import naive_character_residuals, translate_window_factor
 
 MAX_ORACLE_LENGTH = 48
 
@@ -54,7 +54,9 @@ def test_factor_sizes_tile_the_lattice():
             assert (c * p, c * q, q * d, p * d) == (lat.a, M, N, lat.b)
             assert math.gcd(p, q) == 1
             corners.update(name for name, size in zip("cpqd", (c, p, q, d)) if size == 1)
-    assert corners == set("cpqd")
+            # Both sides of the window factor's wrap phase (p > q > 1).
+            corners.update(["p>q>1"] if p > q > 1 else ["q>p>1"] if q > p > 1 else [])
+    assert corners == set("cpqd") | {"p>q>1", "q>p>1"}
 
 
 def test_zak_transform_layout_and_inverse():
@@ -73,6 +75,30 @@ def test_zak_transform_layout_and_inverse():
             assert got.shape == (2, d, q, c, p), where
             assert np.abs(got - np.moveaxis(want, 1, -1)).max() <= 1e-12, where
             assert np.abs(_unzak(lat, got) - f).max() <= 1e-14, where
+
+
+#: The ``stream`` benchmark's lattices: (L, a, b), each with p = 1.
+STREAM_LATTICES = ((4096, 8, 32), (16384, 16, 64), (32768, 64, 128), (65536, 256, 256))
+
+
+@pytest.mark.parametrize(
+    "lattices",
+    [divisor_lattices(L) for L in range(2, MAX_ORACLE_LENGTH + 1)]
+    + [[SeparableLattice(*sizes)] for sizes in STREAM_LATTICES],
+    ids=[f"L{L}" for L in range(2, MAX_ORACLE_LENGTH + 1)] + [f"stream{s}" for s in STREAM_LATTICES],
+)
+def test_window_factor_matches_the_translate_form(lattices):
+    # The divisor lattices reach every corner of the shift identity: p > q > 1
+    # (the wrap phase), q > p > 1, p = 1 and q = 1.
+    rng = np.random.default_rng(lattices[0].L)
+    for lat in lattices:
+        g = random_signal(rng, lat.L)
+        blocks, scale = _window_factor(g, lat)
+        want = translate_window_factor(lat.L, lat.a, lat.b, g)
+        where = f"(L, a, b) = {(lat.L, lat.a, lat.b)}"
+        assert blocks.shape == want.shape and blocks.flags.c_contiguous, where
+        assert np.abs(blocks - want).max() <= 1e-12 * np.abs(want).max(), where
+        assert scale == math.sqrt(lat.n_freq / _factor_sizes(lat)[1]), where
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
@@ -113,6 +139,26 @@ def test_round_trip_memory_is_linear_in_L():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"round-trip peak {peak / 2**20:.1f} MiB"
+
+
+def test_round_trip_holds_few_full_size_arrays():
+    # One coefficient grid is n = 262144 entries, 4 MiB, and so is the window
+    # factor (q*L, p = 1).  Synthesis holds the grid it was given, the factor,
+    # its own working grid and an L-size Zak table; a conjugated copy of the
+    # factor or an out-of-place FFT would add a fourth, 16 MiB.
+    L = 16384
+    lat = SeparableLattice(L, 16, 64)
+    rng = np.random.default_rng(7)
+    g = random_signal(rng, L)
+    f = random_signal(rng, L)
+    grid_bytes = 16 * lat.cardinality
+    tracemalloc.start()
+    try:
+        synthesis_map(g, lat, coefficient_map(g, lat, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
 
 
 def test_synthesis_map_takes_a_stack_of_grids():

@@ -12,6 +12,7 @@ from gaborkit import (
     ConfigError,
     SeparableLattice,
     SystemSpectra,
+    NotAFrameError,
     Window,
     divisor_pairs,
     load_window,
@@ -254,6 +255,40 @@ def test_run_frees_its_spectra():
         leftover = [obj for obj in gc.get_objects() if isinstance(obj, SystemSpectra)]
     finally:
         gc.enable()
+    assert not leftover
+
+
+def live_spectra_after(config, raises=()):
+    """The ``SystemSpectra`` that outlive ``run(config)`` with the cyclic
+    collector off, and whether ``run`` raised one of ``raises``.  The
+    exception is dropped before the count, as its traceback holds the run's
+    frames."""
+    gc.collect()
+    gc.disable()
+    raised = False
+    try:
+        try:
+            run(config)
+        except raises:
+            raised = True
+        leftover = [obj for obj in gc.get_objects() if isinstance(obj, SystemSpectra)]
+    finally:
+        gc.enable()
+    return leftover, raised
+
+
+def test_gallery_task_frees_its_spectra():
+    # The partition-of-unity verdict builds a table for its own window and
+    # lattice; it left both entries behind.
+    leftover, _ = live_spectra_after(AnalysisConfig(length=12, a=2, b=3, tasks=("gallery",)))
+    assert not leftover
+
+
+def test_run_frees_its_spectra_when_a_task_raises():
+    # A delta window on (4, 4) at L = 8 is not a frame: the dual task raises.
+    config = AnalysisConfig(length=8, a=4, b=4, window="delta", tasks=("dual_window",))
+    leftover, raised = live_spectra_after(config, raises=NotAFrameError)
+    assert raised
     assert not leftover
 
 
