@@ -26,17 +26,20 @@ the shift identity, with no translate gathered.  The maps are the factor
 times the Zak transform of the signal plus FFTs of length d and M, run in
 place on one grid-sized array, with the scalings folded into the FFTs'
 ``norm``.  S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``,
-so the canonical dual is one batched solve of them (:func:`_frame_solve`),
-and the synthesis and Gramian spectra are the blocks' too
-(:class:`SystemSpectra`).
-The analysis and frame operator spectra stay dense, so the harness compares
-two routes; the dense builders, refused beyond a hard entry budget, are the
-reference the factorized routes are tested against (``notes/decisions.md``).
+so the canonical dual is one batched solve of them (:func:`_frame_solve`).
+The synthesis spectrum is one batched SVD of the blocks, and the Gramian
+spectrum is its squares, as ``G = D^H D`` (:class:`SystemSpectra`).  The
+analysis and frame operator spectra stay dense, so the harness compares two
+routes: dense C against the blocks' D, and dense S on a lattice against the
+blocks of its adjoint.  The dense builders, refused beyond a hard entry
+budget, are the reference the factorized routes are tested against
+(``notes/decisions.md``).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -411,20 +414,30 @@ class SystemSpectra:
     use and then kept; the matrices are not kept.
 
     Eigenvalues (ascending) of S and G, and singular values (descending) of
-    C and D; G's and D's from the window-factor blocks (:attr:`factor`), the
-    rest from dense matrices.  ``table`` maps each lattice to the window's
-    spectra there (:meth:`on`), so each is computed once per (window,
-    lattice); :attr:`adjoint` is the adjoint lattice's entry."""
+    C and D.  D's come from one batched SVD of the window-factor blocks
+    (:attr:`factor`), and G's are their squares, as ``G = D^H D``; S's and
+    C's come from dense matrices.  ``table`` maps each lattice to the
+    window's live entry there (:meth:`on`), so each spectrum is computed
+    once per (window, lattice); :attr:`adjoint` is the adjoint lattice's
+    entry.  The table holds its entries weakly and an entry holds those it
+    made, so no entry is in a reference cycle: reference counting frees an
+    entry, with every entry it made, as soon as its caller drops it."""
 
     def __init__(self, g, lattice: SeparableLattice, *, table=None):
         self.g = g
         self.lattice = lattice
-        self.table = {} if table is None else table
+        self.table = weakref.WeakValueDictionary() if table is None else table
         self.table[lattice] = self
+        self._made = []
 
     def on(self, lattice: SeparableLattice) -> "SystemSpectra":
-        """The same window's spectra on ``lattice``, from the shared table."""
-        return self.table.get(lattice) or SystemSpectra(self.g, lattice, table=self.table)
+        """The same window's spectra on ``lattice``, from the shared table;
+        an entry made here lives as long as this one."""
+        entry = self.table.get(lattice)
+        if entry is None:
+            entry = SystemSpectra(self.g, lattice, table=self.table)
+            self._made.append(entry)
+        return entry
 
     @property
     def adjoint(self) -> "SystemSpectra":
@@ -441,23 +454,13 @@ class SystemSpectra:
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        """Eigenvalues of ``G = C D`` from the window-factor blocks; no n x n
-        matrix is built.
-
-        Up to unitary FFTs, G is the block diagonal of the q x q products
-        ``W W^H`` times ``M/p`` (see :func:`_window_factor`).  When q > p a
-        block's nonzero eigenvalues are those of the p x p ``W^H W``, and its
-        other q - p are exact zeros, so the products hold at most
-        n*min(p, q) entries.
-        """
+        """Eigenvalues of ``G = C D = D^H D``: the squares of :attr:`synthesis`,
+        ascending, after ``n - min(L, n)`` exact zeros; no n x n matrix is built."""
         lattice = self.lattice
-        _, p, q, _ = _factor_sizes(lattice)
-        _guard_dense(q * lattice.L + lattice.cardinality * min(p, q), "Gramian blocks")
-        blocks, _ = self.factor
-        herm = np.conj(blocks).swapaxes(-1, -2)
-        eigs = np.linalg.eigvalsh(blocks @ herm if q <= p else herm @ blocks).reshape(-1)
-        zeros = np.zeros(lattice.cardinality - eigs.size)
-        return np.sort(np.concatenate([lattice.n_freq / p * eigs, zeros]))
+        n = lattice.cardinality
+        _guard_dense(_factor_sizes(lattice)[2] * lattice.L + n, "Gramian spectrum")
+        svals = self.synthesis
+        return np.concatenate([np.zeros(n - svals.size), svals[::-1] ** 2])
 
     @cached_property
     def analysis(self) -> np.ndarray:

@@ -12,6 +12,25 @@ def rng():
     return np.random.default_rng(20070313)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``linalg_calls(*names)`` records each later call of those
+    ``np.linalg`` functions: a dict from name to the list of the shapes of
+    their first arguments, in call order."""
+
+    def record(*names):
+        calls = {name: [] for name in names}
+        for name, shapes in calls.items():
+            def spy(m, *args, _real=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(m))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return calls
+
+    return record
+
+
 def random_signal(rng, L):
     return rng.standard_normal(L) + 1j * rng.standard_normal(L)
 
@@ -41,15 +60,6 @@ def dense_gramian_spectrum(G, L, rng):
     eigs = np.linalg.eigvalsh(q.conj().T @ gq)
     slack = 2 * np.linalg.norm(G - gq @ q.conj().T)
     return np.sort(np.concatenate([eigs, np.zeros(n - eigs.size)])), slack
-
-
-def gramian_block_shape(lattice):
-    """Shape of the batched block products that ``SystemSpectra.gramian``
-    decomposes: (d, q, c) blocks of size min(p, q)."""
-    from gaborkit.operators import _factor_sizes
-
-    c, p, q, d = _factor_sizes(lattice)
-    return (d, q, c, min(p, q), min(p, q))
 
 
 def factor_block_shape(lattice):

@@ -125,13 +125,11 @@ def test_kernel_command(capsys):
 
 # Adjoint lattice: the lattice itself, commuting, non-commuting.
 @pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
-def test_kernel_command_one_svd(monkeypatch, capsys, length, lattice):
+def test_kernel_command_one_svd(linalg_calls, capsys, length, lattice):
     # The index task reads the singular values of the kernel task's full SVD.
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m.shape) or svd(m, **kw))
+    calls = linalg_calls("svd")
     assert main(["kernel", "--length", length, "--lattice", lattice, "--window", "random"]) == 0
-    assert len(calls) == 1
+    assert len(calls["svd"]) == 1
     payload = json.loads(capsys.readouterr().out)["results"]
     assert payload["index"]["kernel_dimension_surrogate"] == payload["kernel"]["dimension"]
 

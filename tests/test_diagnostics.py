@@ -1,6 +1,8 @@
 """Bounds, the fourteen-condition harness, duals, cross-Gramians, duality
 and proxy norms."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gaborkit import (
     NotAFrameError,
     SeparableLattice,
     ShapeMismatchError,
+    SystemSpectra,
     Window,
     WindowRecipe,
     check_all_conditions,
@@ -17,8 +20,11 @@ from gaborkit import (
     cross_gramian_row_sum_gap,
     duality_check,
     frame_bounds,
+    index_commutative,
+    kernel_basis,
     make_window,
     modulation_norm_proxy,
+    operator_norms,
     partition_of_unity_kernel,
     periodized_gaussian,
     reconstruction_residual,
@@ -26,7 +32,7 @@ from gaborkit import (
     wexler_raz_dual,
     wexler_raz_residual,
 )
-from conftest import factor_block_shape, gramian_block_shape, random_signal, random_unit_window
+from conftest import factor_block_shape, random_signal, random_unit_window
 from fixtures import (
     CRITICAL_L16_FRAME_UPPER,
     CRITICAL_L16_RIESZ_LOWER_SQ,
@@ -303,9 +309,7 @@ def test_modulation_invalid_p(rng):
 
 
 @pytest.mark.parametrize("L, a, b", [(24, 4, 8), (16, 4, 4), (18, 3, 3)])  # n < L, n = L, n > L
-def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
-    from gaborkit import SystemSpectra, operator_norms
-
+def test_shared_spectra_give_identical_results(rng, linalg_calls, L, a, b):
     lat = SeparableLattice(L, a, b)
     g = random_unit_window(rng, L)
 
@@ -322,19 +326,34 @@ def test_shared_spectra_give_identical_results(rng, monkeypatch, L, a, b):
         }
 
     fresh = diagnostics()
-    shapes = {"eigvalsh": [], "svd": []}
-    for name, seen in shapes.items():
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda m, *args, _real=real, _seen=seen, **kw: _seen.append(m.shape)
-            or _real(m, *args, **kw),
-        )
+    shapes = linalg_calls("eigvalsh", "svd")
     assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
     # The lattice and its adjoint, which is the same lattice when a*b = L:
-    # each one's Gramian, analysis matrix and synthesis blocks once, and S once.
+    # each one's analysis matrix and synthesis blocks once, and S once; the
+    # Gramians are the synthesis spectra squared.
     lattices = {lat, lat.adjoint()}
     assert len(lattices) == (1 if a * b == L else 2)
-    want = [(L, L)] + [gramian_block_shape(m) for m in lattices]
-    assert sorted(shapes["eigvalsh"]) == sorted(want)
+    assert shapes["eigvalsh"] == [(L, L)]
     want = [shape for m in lattices for shape in ((m.cardinality, L), factor_block_shape(m))]
     assert sorted(shapes["svd"]) == sorted(want)
+
+
+@pytest.mark.parametrize("diagnostic", [
+    check_all_conditions, frame_bounds, duality_check, wexler_raz_dual,
+    kernel_basis, index_commutative, operator_norms,
+], ids=lambda fn: fn.__name__)
+def test_diagnostics_free_their_spectra(rng, diagnostic):
+    # (2, 6) at L = 12 is critical and its shifts commute, so a random
+    # window gives a basis and every diagnostic runs.  The entries it makes
+    # for the lattice and its adjoint hold window factors; none may wait
+    # for the cyclic collector once the call returns.
+    g = random_unit_window(rng, 12)
+    lat = SeparableLattice(12, 2, 6)
+    gc.collect()
+    gc.disable()
+    try:
+        diagnostic(g, lat)
+        leftover = [obj for obj in gc.get_objects() if isinstance(obj, SystemSpectra)]
+    finally:
+        gc.enable()
+    assert not leftover

@@ -320,18 +320,18 @@ def test_synthesis_blocks_memory_guard(monkeypatch):
 
 
 def test_gramian_blocks_memory_guard(monkeypatch):
-    # (1, 1) at L = 4096: q = 4096, so the factor and the 1 x 1 block
-    # products need 2 * 4096^2 entries; refused before anything is allocated.
-    with pytest.raises(MemoryGuardError, match="Gramian blocks would need 33554432 entries"):
+    # (1, 1) at L = 4096: q = 4096, so the factor and the n eigenvalues
+    # need 2 * 4096^2 entries; refused before anything is allocated.
+    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 33554432 entries"):
         SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).gramian
-    # (2, 2) at L = 16: c = 2, p = 1, q = 4, so the window factor holds
-    # 4*16 = 64 entries and the p x p block products 64*1 = 64.
+    # (2, 2) at L = 16: q = 4, so the window factor holds 4*16 = 64 entries
+    # and G has n = 64 eigenvalues.
     g = random_unit_window(np.random.default_rng(11), 16)
     lat = SeparableLattice(16, 2, 2)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 128)
     assert SystemSpectra(g, lat).gramian.shape == (64,)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
-    with pytest.raises(MemoryGuardError, match="Gramian blocks would need 128 entries"):
+    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 128 entries"):
         SystemSpectra(g, lat).gramian
 
 
@@ -354,10 +354,12 @@ def test_dual_matches_dense_solve_on_every_divisor_lattice(L):
 
 
 @pytest.mark.parametrize("length,lattice", [("48", "8,4"), ("36", "4,3"), ("24", "1,12")])
-def test_dual_command_builds_s_once_and_solves_only_blocks(monkeypatch, capsys, length, lattice):
+def test_dual_command_builds_s_once_and_solves_only_blocks(
+    monkeypatch, linalg_calls, capsys, length, lattice
+):
     # (c, p, q, d) = (4, 2, 3, 2), (4, 1, 3, 3) and (1, 1, 2, 12).
-    builds, solved = [], []
-    real_build, real_solve = operators.frame_operator_matrix, np.linalg.solve
+    builds = []
+    real_build = operators.frame_operator_matrix
 
     def build(*args, **kwargs):
         builds.append(args[1])
@@ -367,7 +369,7 @@ def test_dual_command_builds_s_once_and_solves_only_blocks(monkeypatch, capsys, 
     for module in (operators, diagnostics, reporting):
         if hasattr(module, "frame_operator_matrix"):
             monkeypatch.setattr(module, "frame_operator_matrix", build)
-    monkeypatch.setattr(np.linalg, "solve", lambda m, rhs: solved.append(m.shape) or real_solve(m, rhs))
+    solved = linalg_calls("solve")["solve"]
     assert main(["dual", "--length", length, "--lattice", lattice]) == 0
     assert json.loads(capsys.readouterr().out)["biorthogonality_residual"] <= 1e-10
     lat = SeparableLattice(int(length), *map(int, lattice.split(",")))
