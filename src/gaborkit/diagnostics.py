@@ -6,17 +6,19 @@ classical characterizations of the frame property of a system on a lattice
 -- injectivity / invertibility / surjectivity statements about the analysis
 map, the frame operator, the synthesis map, and the adjoint-lattice
 analysis, synthesis and Gramian -- and reports whether all fourteen verdicts
-agree.  C and S are dense and D and G come from the window factor, so
-C (i, v) and D (vi, vii) are two routes.  In exact arithmetic all fourteen
-agree; the harness is therefore a machine-checkable consistency property,
-and any disagreement beyond the flagged marginal band is an alarm.
+agree.  C is dense; D is one batched SVD of the window factor, and S and G
+are its squares.  So C (i, v) and D (vi, vii) are two routes, and so are S
+(ii-iv) and the adjoint G (xi-xiv), whose factors use different translates.
+In exact arithmetic all fourteen agree; the harness is therefore a
+machine-checkable consistency property, and any disagreement beyond the
+flagged marginal band is an alarm.
 
 Tolerances: every check reduces to a dimensionless margin (sigma_min over
 sigma_max for first-order operators, its square for the PSD compositions)
 compared against one shared cutoff, so the fourteen sub-checks measure the
 same quantity and cannot disagree by threshold choice alone.  Margins within
 a factor 10 of the cutoff are flagged marginal rather than trusted.  Each
-operator is decomposed once per (window, lattice) and shared, the adjoint
+spectrum is computed once per (window, lattice) and shared, the adjoint
 lattice's included (:class:`SystemSpectra`).
 
 In this finite model, invertibility on the heavy and light sequence spaces
@@ -158,8 +160,9 @@ def check_all_conditions(
     (xiv)   adjoint system is a Riesz sequence (Gramian bounded below).
 
     The fourteen collapse onto six measured margins (see
-    :data:`CONDITION_TABLE`), one per operator, each from its own
-    decomposition in ``spectra``.  Always returns a verdict;
+    :data:`CONDITION_TABLE`), one per operator, from four decompositions in
+    ``spectra``: C's dense SVD and D's block SVD, on the lattice and on its
+    adjoint; S and G read D's squared.  Always returns a verdict;
     ``consistent`` records whether all fourteen booleans agree.
     """
     spectra = spectra or SystemSpectra(g, lattice)
@@ -210,17 +213,16 @@ def check_all_conditions(
 def frame_bounds(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> BoundsReport:
-    """Frame bounds from the frame operator spectrum and Riesz bounds from
-    the nonzero spectrum of the lattice Gramian, read from the window-factor
-    blocks (:attr:`SystemSpectra.gramian`)."""
+    """Frame bounds from the frame operator spectrum, and Riesz bounds from
+    its nonzero part, which S shares with the lattice Gramian: both are the
+    squared singular values of the window-factor blocks."""
     spectra = spectra or SystemSpectra(g, lattice)
     eig_frame = spectra.frame
-    eig_riesz = spectra.gramian
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
 
-    lower = float(max(eig_frame[0], 0.0))
+    lower = float(eig_frame[0])
     upper = float(eig_frame[-1])
-    nonzero = eig_riesz[eig_riesz > cut2 * max(eig_riesz[-1], 0.0)]
+    nonzero = eig_frame[eig_frame > cut2 * upper]
     if nonzero.size:
         riesz_lower_sq = float(nonzero[0])
         riesz_upper_sq = float(nonzero[-1])
@@ -258,7 +260,6 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
             sigma_min=float(eigs[0]),
             cutoff=cut2 * float(eigs[-1]),
         )
-    # The frame spectrum's L*L guard bounds the factor (q*L) and the blocks (L*p).
     dual = _frame_solve(spectra.factor[0], lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
     return Window(samples=dual, label=label, original_norm=float(np.linalg.norm(dual)))

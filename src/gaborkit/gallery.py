@@ -44,12 +44,12 @@ class WindowRecipe:
     def parse(cls, text: str) -> "WindowRecipe":
         """Parse CLI recipe strings: ``delta``, ``gaussian``,
         ``bspline:ORDER:WIDTH``, ``conv:W1,W2,...``, ``file:PATH``."""
-        head, _, rest = text.partition(":")
+        head, colon, rest = text.partition(":")
         head = head.strip().lower()
-        if head == "delta":
-            return cls("delta")
-        if head in ("gaussian", "periodized_gaussian"):
-            return cls("periodized_gaussian")
+        if head in ("delta", "gaussian", "periodized_gaussian"):
+            if colon:
+                raise ConfigError("window", f"{head} recipe takes no fields, got {text!r}")
+            return cls("delta" if head == "delta" else "periodized_gaussian")
         if head == "bspline":
             parts = rest.split(":")
             if len(parts) != 2:

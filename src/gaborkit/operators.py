@@ -27,13 +27,13 @@ times the Zak transform of the signal plus FFTs of length d and M, run in
 place on one grid-sized array, with the scalings folded into the FFTs'
 ``norm``.  S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``,
 so the canonical dual is one batched solve of them (:func:`_frame_solve`).
-The synthesis spectrum is one batched SVD of the blocks, and the Gramian
-spectrum is its squares, as ``G = D^H D`` (:class:`SystemSpectra`).  The
-analysis and frame operator spectra stay dense, so the harness compares two
-routes: dense C against the blocks' D, and dense S on a lattice against the
-blocks of its adjoint.  The dense builders, refused beyond a hard entry
-budget, are the reference the factorized routes are tested against
-(``notes/decisions.md``).
+The synthesis spectrum is one batched SVD of the blocks, and the frame
+operator and Gramian spectra are its squares, as ``S = D D^H`` and
+``G = D^H D`` (:class:`SystemSpectra`).  The analysis spectrum stays dense,
+so the harness compares two routes: dense C against the blocks' D, and a
+lattice's blocks against those of its adjoint, built from other translates.
+The dense builders, refused beyond a hard entry budget, are the reference
+the factorized routes are tested against (``notes/decisions.md``).
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 from .errors import MemoryGuardError, ShapeMismatchError
 from .lattice import SeparableLattice
 
-#: Hard cap on total entries of any dense operator matrix (~256 MiB complex);
-#: for the L x L frame operator it caps L at 4096.
+#: Hard cap on total entries of any dense matrix or block stack (~256 MiB
+#: complex): n*L for the analysis spectrum's atom stack, q*L for a factor.
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -271,7 +271,9 @@ def _synthesize(blocks, lattice, values):
 
 def _frame_solve(blocks, lattice, f):
     """``S^-1 f`` from the window-factor blocks: one batched solve of the
-    p x p blocks ``(M/p) W^H W`` on the Zak transform of ``f``."""
+    p x p blocks ``(M/p) W^H W`` on the Zak transform of ``f``; the blocks
+    and the factor, ``(p + q)*L`` entries, are charged to the cap."""
+    _guard_dense(lattice.L * sum(blocks.shape[-2:]), "frame blocks")
     frame_blocks = lattice.n_freq / blocks.shape[-1] * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
 
@@ -373,12 +375,6 @@ def shift_autocorrelation(g, lattice: SeparableLattice) -> LatticeCoefficients:
     return coefficient_map(g, lattice, g)
 
 
-def _grid_coords(lattice):
-    """Time and frequency grid indices ``(k, l)`` in flat grid order."""
-    nt, nf = lattice.grid_shape
-    return np.repeat(np.arange(nt), nf), np.tile(np.arange(nf), nt)
-
-
 def _twisted_matrix(values, lattice: SeparableLattice, *, left=False) -> np.ndarray:
     """The n x n matrix of twisted multiplication by ``values`` (see
     :mod:`gaborkit.twisted`) on flat grid order.  Right multiplication,
@@ -386,7 +382,7 @@ def _twisted_matrix(values, lattice: SeparableLattice, *, left=False) -> np.ndar
     is the Gramian when ``values`` is the shift autocorrelation; ``left``
     takes the phase ``exp(-2*pi*i*(lam_1 - mu_1)*mu_2/L)`` instead."""
     L = lattice.L
-    kv, lv = _grid_coords(lattice)
+    kv, lv = np.divmod(np.arange(lattice.cardinality), lattice.n_freq)
     dk = (kv[:, None] - kv[None, :]) % lattice.n_time
     dl = (lv[:, None] - lv[None, :]) % lattice.n_freq
     k, l = (dk, lv[None, :]) if left else (kv[None, :], dl)
@@ -415,11 +411,11 @@ class SystemSpectra:
 
     Eigenvalues (ascending) of S and G, and singular values (descending) of
     C and D.  D's come from one batched SVD of the window-factor blocks
-    (:attr:`factor`), and G's are their squares, as ``G = D^H D``; S's and
-    C's come from dense matrices.  ``table`` maps each lattice to the
-    window's live entry there (:meth:`on`), so each spectrum is computed
-    once per (window, lattice); :attr:`adjoint` is the adjoint lattice's
-    entry.  The table holds its entries weakly and an entry holds those it
+    (:attr:`factor`), and S's and G's are their squares, as ``S = D D^H``
+    and ``G = D^H D``; C's come from the dense matrix.  ``table`` maps each
+    lattice to the window's live entry there (:meth:`on`), so each spectrum
+    is computed once per (window, lattice); :attr:`adjoint` is the adjoint
+    lattice's entry.  The table holds its entries weakly and an entry holds those it
     made, so no entry is in a reference cycle: reference counting frees an
     entry, with every entry it made, as soon as its caller drops it."""
 
@@ -448,19 +444,22 @@ class SystemSpectra:
         """The blocks and scale of :func:`_window_factor`; readers guard its q*L entries."""
         return _window_factor(self.g, self.lattice)
 
+    def _squared_synthesis(self, size, what):
+        """:attr:`synthesis` squared, ascending, after ``size - min(L, n)`` zeros."""
+        lattice = self.lattice
+        _guard_dense(_factor_sizes(lattice)[2] * lattice.L + size, what)
+        svals = self.synthesis
+        return np.concatenate([np.zeros(size - svals.size), svals[::-1] ** 2])
+
     @cached_property
     def frame(self) -> np.ndarray:
-        return np.linalg.eigvalsh(frame_operator_matrix(self.g, self.lattice))
+        """Eigenvalues of ``S = D C = D D^H``; no L x L matrix is built."""
+        return self._squared_synthesis(self.lattice.L, "frame spectrum")
 
     @cached_property
     def gramian(self) -> np.ndarray:
-        """Eigenvalues of ``G = C D = D^H D``: the squares of :attr:`synthesis`,
-        ascending, after ``n - min(L, n)`` exact zeros; no n x n matrix is built."""
-        lattice = self.lattice
-        n = lattice.cardinality
-        _guard_dense(_factor_sizes(lattice)[2] * lattice.L + n, "Gramian spectrum")
-        svals = self.synthesis
-        return np.concatenate([np.zeros(n - svals.size), svals[::-1] ** 2])
+        """Eigenvalues of ``G = C D = D^H D``; no n x n matrix is built."""
+        return self._squared_synthesis(self.lattice.cardinality, "Gramian spectrum")
 
     @cached_property
     def analysis(self) -> np.ndarray:
@@ -477,17 +476,17 @@ class SystemSpectra:
 
 
 def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:
-    """Measured operator norms of C, D, S, G plus the l1 autocorrelation
-    row sum.  ``norm_C**2 = norm_S = norm_G = norm_D**2`` up to roundoff,
-    with S and D decomposed independently."""
+    """Operator norms of C, D, S, G plus the l1 autocorrelation row sum.
+    All four are the largest singular value of the synthesis blocks or its
+    square, as ``C = D^H``, ``S = D D^H`` and ``G = D^H D``; no matrix is
+    built, and the tests check the four against the dense matrices."""
     spectra = spectra or SystemSpectra(g, lattice)
-    norm_s = float(spectra.frame[-1])
     norm_d = float(spectra.synthesis[0])
     acf = shift_autocorrelation(g, lattice)
     return {
-        "norm_C": float(np.sqrt(max(norm_s, 0.0))),
+        "norm_C": norm_d,
         "norm_D": norm_d,
-        "norm_S": norm_s,
+        "norm_S": norm_d * norm_d,
         "norm_G": norm_d * norm_d,
         "autocorrelation_l1": float(np.sum(np.abs(acf.values))),
     }

@@ -209,6 +209,8 @@ def test_unwritable_output_exit_1(tmp_path, capsys, argv, field):
         (["analyze", "--length", "8", "--lattice", "2,2", "--window", "random", "--seed", "-1"],
          "seed"),
         (["sweep", "--length", "8", "--seed", "-1"], "seed"),
+        (["analyze", "--length", "12", "--lattice", "2,3", "--window", "gaussian:3"], "window"),
+        (["analyze", "--length", "12", "--lattice", "2,3", "--window", "delta:1"], "window"),
     ],
 )
 def test_bad_recipe_or_seed_exit_1(capsys, argv, field):

@@ -1,6 +1,6 @@
 """The factorized (Zak-domain) coefficient and synthesis maps, kernel basis,
-character index, canonical dual and the Gramian and synthesis spectra
-against dense oracles: block sizes, every divisor lattice of small L,
+character index, canonical dual and the frame, Gramian and synthesis
+spectra against dense oracles: block sizes, every divisor lattice of small L,
 memory, and the entry cap."""
 
 import json
@@ -256,21 +256,32 @@ def test_kernel_basis_memory_guard(monkeypatch, capsys):
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
+    # And the frame spectrum: both are the squared synthesis spectrum,
+    # padded with exact zeros to n and to L.  The zeros must fall below the
+    # harness's cutoff wherever the dense eigenvalues do (iv and xiii).
     rng = np.random.default_rng(300 + L)
     for lat in divisor_lattices(L):
+        cut2 = margin_cutoff((L, lat.cardinality, lat.adjoint().cardinality)) ** 2
         for name, g in oracle_windows(rng, L).items():
-            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
-            want, slack = dense_gramian_spectrum(gramian_matrix(g, lat), L, rng)
-            got = SystemSpectra(g, lat).gramian
-            assert got.shape == want.shape, where
-            assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], where
+            spectra = SystemSpectra(g, lat)
+            dense = {
+                "gramian": dense_gramian_spectrum(gramian_matrix(g, lat), L, rng),
+                "frame": (np.linalg.eigvalsh(frame_operator_matrix(g, lat)), 0.0),
+            }
+            for kind, (want, slack) in dense.items():
+                where = f"{kind} spectrum, {name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+                got = getattr(spectra, kind)
+                assert got.shape == want.shape, where
+                assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], where
+                deficiency = [np.count_nonzero(s <= cut2 * s[-1]) for s in (got, want)]
+                assert deficiency[0] == deficiency[1], where
 
 
 def test_sweep_builds_no_dense_gramian(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the sweep built a dense Gramian or synthesis matrix")
+        raise AssertionError("the sweep built a dense S, Gramian or synthesis matrix")
 
-    for name in ("gramian_matrix", "_twisted_matrix", "synthesis_matrix"):
+    for name in ("frame_operator_matrix", "gramian_matrix", "_twisted_matrix", "synthesis_matrix"):
         monkeypatch.setattr(operators, name, refuse)
     assert main(["sweep", "--length", "12", "--window", "random"]) == 0
 
@@ -284,9 +295,10 @@ def test_sweep_builds_no_dense_gramian(monkeypatch):
 ])
 def test_commands_build_no_synthesis_matrix(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
-        raise AssertionError("a command built the dense synthesis matrix")
+        raise AssertionError("a command built the dense synthesis matrix or S")
 
-    monkeypatch.setattr(operators, "synthesis_matrix", refuse)
+    for name in ("synthesis_matrix", "frame_operator_matrix"):
+        monkeypatch.setattr(operators, name, refuse)
     assert main(argv) == 0
 
 
@@ -335,6 +347,40 @@ def test_gramian_blocks_memory_guard(monkeypatch):
         SystemSpectra(g, lat).gramian
 
 
+def test_frame_spectrum_and_dual_memory_guards(monkeypatch):
+    # (1, 1) at L = 4096: the factor and the L eigenvalues of S need
+    # 4096^2 + 4096 entries; refused before the factor is built.
+    with pytest.raises(MemoryGuardError, match="frame spectrum would need 16781312 entries"):
+        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).frame
+    # (8, 4) at L = 48: (p, q) = (2, 3), so the factor holds 3*48 entries,
+    # S has 48 eigenvalues and the dual's p x p blocks hold 2*48 entries.
+    g = random_unit_window(np.random.default_rng(17), 48)
+    lat = SeparableLattice(48, 8, 4)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 192)
+    assert SystemSpectra(g, lat).frame.shape == (48,)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 191)
+    with pytest.raises(MemoryGuardError, match="frame spectrum would need 192 entries"):
+        SystemSpectra(g, lat).frame
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 240)
+    assert wexler_raz_dual(g, lat).samples.shape == (48,)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 239)
+    with pytest.raises(MemoryGuardError, match="frame blocks would need 240 entries"):
+        wexler_raz_dual(g, lat)
+
+
+def test_analyze_refuses_at_the_atom_stack_before_any_dense_decomposition(
+    linalg_calls, capsys
+):
+    # n = 8192 atoms of length 4096 for the dense analysis spectrum: 2^25
+    # entries.  The bounds task before it reads only the window factor.
+    shapes = linalg_calls("eigvalsh", "svd")
+    assert main(["analyze", "--length", "4096", "--lattice", "64,32"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: atom stack would need 33554432 entries")
+    assert shapes["eigvalsh"] == []
+    assert all(len(shape) == 5 for shape in shapes["svd"]), shapes["svd"]
+
+
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_dual_matches_dense_solve_on_every_divisor_lattice(L):
     rng = np.random.default_rng(500 + L)
@@ -354,7 +400,7 @@ def test_dual_matches_dense_solve_on_every_divisor_lattice(L):
 
 
 @pytest.mark.parametrize("length,lattice", [("48", "8,4"), ("36", "4,3"), ("24", "1,12")])
-def test_dual_command_builds_s_once_and_solves_only_blocks(
+def test_dual_command_builds_no_s_and_solves_only_blocks(
     monkeypatch, linalg_calls, capsys, length, lattice
 ):
     # (c, p, q, d) = (4, 2, 3, 2), (4, 1, 3, 3) and (1, 1, 2, 12).
@@ -374,5 +420,5 @@ def test_dual_command_builds_s_once_and_solves_only_blocks(
     assert json.loads(capsys.readouterr().out)["biorthogonality_residual"] <= 1e-10
     lat = SeparableLattice(int(length), *map(int, lattice.split(",")))
     c, p, q, d = _factor_sizes(lat)
-    assert builds == [lat]
+    assert builds == []
     assert solved == [(d, q, c, p, p)]

@@ -109,7 +109,9 @@ def test_recipe_parsing():
         WindowRecipe.parse("bspline:2")
 
 
-@pytest.mark.parametrize("text", ["bspline:x:2", "bspline:2:4.5", "conv:a", "conv:4,b"])
+@pytest.mark.parametrize(
+    "text", ["bspline:x:2", "bspline:2:4.5", "conv:a", "conv:4,b", "gaussian:3", "delta:1"]
+)
 def test_recipe_non_integer_fields_are_config_errors(text):
     with pytest.raises(ConfigError) as err:
         WindowRecipe.parse(text)

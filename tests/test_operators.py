@@ -217,6 +217,15 @@ def test_operator_norm_consistency(rng):
     assert np.isclose(norms["norm_C"] ** 2, norms["norm_S"], rtol=1e-12, atol=1e-12)
     assert np.isclose(norms["norm_D"] ** 2, norms["norm_G"], rtol=1e-12, atol=1e-12)
     assert np.isfinite(norms["autocorrelation_l1"])
+    # All four read one block SVD; the dense matrices are the other route.
+    dense = {
+        "norm_C": np.linalg.norm(analysis_matrix(g, lat), 2),
+        "norm_D": np.linalg.norm(synthesis_matrix(g, lat), 2),
+        "norm_S": np.linalg.eigvalsh(frame_operator_matrix(g, lat))[-1],
+        "norm_G": np.linalg.eigvalsh(gramian_matrix(g, lat))[-1],
+    }
+    for key, want in dense.items():
+        assert np.isclose(norms[key], want, rtol=1e-12, atol=0.0), key
     # Coefficient norm bound through the Gramian operator norm.
     for _ in range(10):
         f = random_signal(rng, 12)

@@ -1,7 +1,7 @@
 """Hypothesis properties of the factorized routes: adjointness, S = D C and
-the canonical dual against the dense frame operator, and the Gramian and
-synthesis spectra against the dense Gramian and synthesis matrix, over
-random windows, signals and divisor lattices."""
+the canonical dual against the dense frame operator, and the frame, Gramian
+and synthesis spectra against the dense frame operator, Gramian and
+synthesis matrix, over random windows, signals and divisor lattices."""
 
 import numpy as np
 import pytest
@@ -107,12 +107,18 @@ def test_frame_operator_is_synthesis_after_analysis(system):
 @given(system=systems())
 @with_corners
 def test_gramian_spectrum_is_the_dense_one(system):
+    # And the frame spectrum, the same squares padded to L.
     lat, g, _, _ = system
     rng = np.random.default_rng(lat.cardinality)
-    want, slack = dense_gramian_spectrum(gramian_matrix(g, lat), lat.L, rng)
-    got = SystemSpectra(g, lat).gramian
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() + slack <= 1e-13 * want[-1]
+    spectra = SystemSpectra(g, lat)
+    dense = {
+        "gramian": dense_gramian_spectrum(gramian_matrix(g, lat), lat.L, rng),
+        "frame": (np.linalg.eigvalsh(frame_operator_matrix(g, lat)), 0.0),
+    }
+    for kind, (want, slack) in dense.items():
+        got = getattr(spectra, kind)
+        assert got.shape == want.shape, kind
+        assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], kind
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

@@ -4,7 +4,8 @@ Above ``L = 4096`` no dense matrix can check a fast route, so these tests
 assert what is known exactly at any length.  The periodized Gaussian on the
 critical lattice ``(sqrt(L), sqrt(L))`` with even ``sqrt(L)`` annihilates
 the alternating sequence exactly (acceptance criterion 08), and that
-character spans the whole kernel: dimension 1, index 1, witness 0.
+character spans the whole kernel: dimension 1, index 1, witness 0, and a
+lower frame bound of zero.
 
 On ``(n, n)`` with ``L = 2*n**2`` (redundancy 2) the same window has frame
 bounds over redundancy that do not depend on L (the finite side of
@@ -14,8 +15,9 @@ on the adjoint lattice ``(2n, 2n)``.
 
 A painless window, whose support is at most ``M = L/b``, has a diagonal
 frame operator, the Walnut diagonal ``M * sum_k |g(t - k*a)|**2``, so the
-squared extreme singular values of the synthesis map are its extremes, and
-the canonical dual is the window divided by that diagonal.
+frame bounds and the squared extreme singular values of the synthesis map
+are its extremes, and the canonical dual is the window divided by that
+diagonal.
 """
 
 import json
@@ -30,6 +32,7 @@ from gaborkit import (
     WindowRecipe,
     frame_bounds,
     index_commutative,
+    margin_cutoff,
     kernel_basis,
     make_window,
     synthesis_map,
@@ -46,6 +49,10 @@ GAUSSIAN_B_OVER_R = 1.1803405990161
 def test_critical_gaussian_kernel_is_the_alternating_character(L):
     step = int(np.sqrt(L))
     g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(L))
+    # Not a frame: the dense frame operator here would have L^2 >= 2^28 entries.
+    bounds = frame_bounds(g, SeparableLattice(L, step, step))
+    assert bounds.frame_lower <= margin_cutoff((L, L)) ** 2 * bounds.frame_upper
+    assert bounds.condition_number == float("inf")
     adjoint = SeparableLattice(L, step, step).adjoint()
     basis = kernel_basis(g, adjoint)
     assert len(basis) == 1
@@ -86,6 +93,21 @@ def test_painless_synthesis_spectrum_is_the_walnut_diagonal():
     assert svals.shape == (L,)
     assert svals[-1] ** 2 == pytest.approx(walnut.min(), rel=1e-13)
     assert svals[0] ** 2 == pytest.approx(walnut.max(), rel=1e-13)
+    # The dense frame operator here would have 2^32 entries.
+    bounds = frame_bounds(g, lattice)
+    assert bounds.frame_lower == pytest.approx(walnut.min(), rel=1e-13)
+    assert bounds.frame_upper == pytest.approx(walnut.max(), rel=1e-13)
+
+
+def test_dual_and_bounds_commands_beyond_the_dense_cap(capsys):
+    # The frame operator here would have 2^32 entries, 256 times the cap.
+    argv = ["--length", "65536", "--lattice", "64,128"]
+    assert main(["dual", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["biorthogonality_residual"] <= 1e-12
+    assert main(["analyze", *argv, "--tasks", "bounds,duality"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["duality"]["frame"] and results["duality"]["agree"]
+    assert results["bounds"]["condition_number"] < 2.0
 
 
 def test_kernel_command_beyond_the_dense_cap(capsys):
@@ -112,7 +134,8 @@ def half_density_gaussian(L):
 
 @pytest.mark.parametrize("L", [32, 128, 512, 2048])
 def test_adjoint_gramian_is_the_frame_bounds_over_redundancy(L):
-    # Duality: two factors of different shape against the dense frame operator.
+    # Duality: two factors of different shape, (p, q) = (1, 2) on the
+    # lattice and (2, 1) on its adjoint, built from different translates.
     g, lattice, lowest, highest = half_density_gaussian(L)
     bounds = frame_bounds(g, lattice)
     r = lattice.redundancy
@@ -124,10 +147,14 @@ def test_adjoint_gramian_is_the_frame_bounds_over_redundancy(L):
 
 @pytest.mark.parametrize("L", [32768, 131072])
 def test_adjoint_gramian_beyond_the_dense_cap(L):
-    # The adjoint Gramian here has (L/2)^2 entries, up to 256 times the cap.
-    _, _, lowest, highest = half_density_gaussian(L)
+    # The adjoint Gramian here has (L/2)^2 entries, up to 256 times the cap,
+    # and the frame operator L^2.
+    g, lattice, lowest, highest = half_density_gaussian(L)
     assert lowest == pytest.approx(GAUSSIAN_A_OVER_R, rel=1e-13)
     assert highest == pytest.approx(GAUSSIAN_B_OVER_R, rel=1e-13)
+    bounds = frame_bounds(g, lattice)
+    assert bounds.frame_lower / lattice.redundancy == pytest.approx(GAUSSIAN_A_OVER_R, rel=1e-13)
+    assert bounds.frame_upper / lattice.redundancy == pytest.approx(GAUSSIAN_B_OVER_R, rel=1e-13)
 
 
 @pytest.mark.parametrize("recipe,L,a,b", [
