@@ -8,6 +8,8 @@ frame-equivalence consistency harness, canonical dual windows, and a
 gallery of constructive counterexamples.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .errors import (
     ConfigError,
@@ -22,8 +24,10 @@ from .errors import (
 )
 from .lattice import (
     FiniteModel,
+    LatticeCoefficients,
     PhasePoint,
     SeparableLattice,
+    TwistedSequence,
     adjoint_lattice,
     compose_shifts,
     shift_matrix,
@@ -31,7 +35,6 @@ from .lattice import (
     tf_shift,
 )
 from .operators import (
-    LatticeCoefficients,
     SystemSpectra,
     Window,
     analysis_matrix,
@@ -46,7 +49,6 @@ from .operators import (
     synthesis_matrix,
 )
 from .twisted import (
-    TwistedSequence,
     algebra_adjoint,
     index_commutative,
     janssen_coefficients,
@@ -92,4 +94,8 @@ from .reporting import (
 )
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a submodule binds its name here too; those are not exports.
+__all__ = sorted(
+    name for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

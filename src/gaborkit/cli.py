@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import GaborkitError
+from .errors import ConfigError, GaborkitError
 from .reporting import (
     AnalysisConfig,
     TASKS,
@@ -44,11 +44,9 @@ def _parse_lattice(text):
 
 
 def _parse_pairs(text):
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            pairs.append(_parse_lattice(chunk))
+    pairs = [_parse_lattice(chunk) for chunk in text.split(";") if chunk.strip()]
+    if not pairs:
+        raise ConfigError("pairs", f"{text!r} names no lattice")
     return pairs
 
 

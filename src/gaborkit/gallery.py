@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LatticeError, PartitionOfUnityError, ShapeMismatchError
-from .lattice import SeparableLattice
+from .lattice import SeparableLattice, TwistedSequence
 from .operators import Window, synthesis_map, window_samples
-from .twisted import TwistedSequence
 
 RECIPE_KINDS = ("delta", "periodized_gaussian", "bspline", "convolution_product", "file")
 
@@ -43,7 +42,9 @@ class WindowRecipe:
     @classmethod
     def parse(cls, text: str) -> "WindowRecipe":
         """Parse CLI recipe strings: ``delta``, ``gaussian``,
-        ``bspline:ORDER:WIDTH``, ``conv:W1,W2,...``, ``file:PATH``."""
+        ``bspline:ORDER:WIDTH``, ``conv:W1,W2,...``, ``file:PATH``.  A known
+        head with bad fields is a ConfigError on ``window``; an unknown head
+        is a LatticeError, which callers may take to mean a file path."""
         head, colon, rest = text.partition(":")
         head = head.strip().lower()
         if head in ("delta", "gaussian", "periodized_gaussian"):
@@ -53,13 +54,13 @@ class WindowRecipe:
         if head == "bspline":
             parts = rest.split(":")
             if len(parts) != 2:
-                raise LatticeError(f"bspline recipe needs ORDER:WIDTH, got {text!r}")
+                raise ConfigError("window", f"bspline recipe needs ORDER:WIDTH, got {text!r}")
             order, width = _recipe_ints(parts, text)
             return cls("bspline", order=order, widths=(width,))
         if head in ("conv", "convolution_product"):
             widths = _recipe_ints([w for w in rest.split(",") if w.strip()], text)
             if not widths:
-                raise LatticeError(f"convolution recipe needs widths, got {text!r}")
+                raise ConfigError("window", f"convolution recipe needs widths, got {text!r}")
             return cls("convolution_product", widths=widths)
         if head == "file":
             return cls("file", path=rest)

@@ -17,11 +17,16 @@ A separable lattice ``a*Z_L x b*Z_L`` requires ``a | L`` and ``b | L`` (this
 guarantees a subgroup and makes the adjoint formula exact).  Its adjoint is
 ``(L/b)*Z_L x (L/a)*Z_L``: exactly the phase points whose shifts commute with
 every lattice shift.
+
+A :class:`TwistedSequence` is a complex array on a lattice's grid: the
+coefficients of the analysis map and the input of the synthesis map, and
+the elements of the lattice's twisted-convolution algebra
+(:mod:`gaborkit.twisted`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -191,3 +196,47 @@ class SeparableLattice:
 def adjoint_lattice(lattice: SeparableLattice) -> SeparableLattice:
     """Adjoint of a separable lattice (see :meth:`SeparableLattice.adjoint`)."""
     return lattice.adjoint()
+
+
+@dataclass
+class TwistedSequence:
+    """A complex array on the grid of ``lattice``, shape (L/a, L/b): analysis
+    coefficients, or an element of the lattice's twisted-convolution algebra."""
+
+    values: np.ndarray
+    lattice: SeparableLattice = field(repr=False)
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != self.lattice.grid_shape:
+            raise ShapeMismatchError(
+                f"sequence shape {self.values.shape} does not match lattice grid "
+                f"{self.lattice.grid_shape}"
+            )
+
+    @classmethod
+    def delta(cls, lattice) -> "TwistedSequence":
+        """The algebra unit: 1 at (0, 0), else 0."""
+        values = np.zeros(lattice.grid_shape, dtype=complex)
+        values[0, 0] = 1.0
+        return cls(values, lattice)
+
+    @classmethod
+    def point_mass(cls, lattice, k, l, weight=1.0) -> "TwistedSequence":
+        values = np.zeros(lattice.grid_shape, dtype=complex)
+        values[k % lattice.n_time, l % lattice.n_freq] = weight
+        return cls(values, lattice)
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.values.reshape(-1)
+
+    def norm1(self) -> float:
+        return float(np.sum(np.abs(self.values)))
+
+    def norm2(self) -> float:
+        return float(np.linalg.norm(self.values))
+
+
+#: The analysis coefficients' name for a grid sequence.
+LatticeCoefficients = TwistedSequence

@@ -40,13 +40,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import MemoryGuardError, ShapeMismatchError
-from .lattice import SeparableLattice
+from .lattice import SeparableLattice, TwistedSequence
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
 #: complex): n*L for the analysis spectrum's atom stack, q*L for a factor.
@@ -97,26 +97,6 @@ class Window:
     @property
     def length(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass
-class LatticeCoefficients:
-    """A coefficient array on a lattice grid, shape (L/a, L/b)."""
-
-    values: np.ndarray
-    lattice: SeparableLattice = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.lattice.grid_shape:
-            raise ShapeMismatchError(
-                f"coefficient shape {self.values.shape} does not match lattice grid "
-                f"{self.lattice.grid_shape}"
-            )
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
 
 
 def window_samples(g) -> np.ndarray:
@@ -278,7 +258,7 @@ def _frame_solve(blocks, lattice, f):
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
 
 
-def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
+def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
     """Analysis coefficients ``c[k, l] = <f, shift((k*a, l*b)) g>``.
 
     Factorized through the Zak transform.  Row ``k`` is the length-M FFT
@@ -290,7 +270,7 @@ def coefficient_map(g, lattice: SeparableLattice, f) -> LatticeCoefficients:
     O(L*L/a) for the fold itself (``L/a = q*d``).
     """
     f = _check_signal(lattice, f)
-    return LatticeCoefficients(_analyze(_window_factor(g, lattice)[0], lattice, f), lattice)
+    return TwistedSequence(_analyze(_window_factor(g, lattice)[0], lattice, f), lattice)
 
 
 def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
@@ -301,9 +281,9 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     ``k2``, the conjugated factor summed over ``k0``, and an inverse Zak
     transform.  Same cost as :func:`coefficient_map`.  A stack of
     coefficient grids, shape (..., L/a, L/b), gives one signal per grid
-    from one window factor.
+    from one window factor; a :class:`TwistedSequence` must lie on ``lattice``.
     """
-    if isinstance(coeffs, LatticeCoefficients):
+    if isinstance(coeffs, TwistedSequence):
         if coeffs.lattice != lattice:
             raise ShapeMismatchError("coefficients indexed by a different lattice")
         values = coeffs.values
@@ -369,7 +349,7 @@ def frame_operator_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     return lattice.n_freq * corr * mask
 
 
-def shift_autocorrelation(g, lattice: SeparableLattice) -> LatticeCoefficients:
+def shift_autocorrelation(g, lattice: SeparableLattice) -> TwistedSequence:
     """The window's shift autocorrelation ``a[lam] = <g, shift(lam) g>``."""
     g = window_samples(g)
     return coefficient_map(g, lattice, g)

@@ -204,7 +204,7 @@ def _task_janssen(g, lattice, config, rng, spectra):
     residual = 0.0
     for f in own.standard_normal((4, lattice.L)) + 1j * own.standard_normal((4, lattice.L)):
         applied = frame_operator_apply(g, lattice, f)
-        gap = applied - synthesis_map(f, coeffs.lattice, coeffs.values)
+        gap = applied - synthesis_map(f, coeffs.lattice, coeffs)
         residual = max(residual, float(np.linalg.norm(gap) / np.linalg.norm(applied)))
     return {
         "relative_residual": residual,
@@ -271,7 +271,7 @@ def _task_gallery(g, lattice, config, rng, spectra):
     pou_model = FiniteModel(16)
     pou_window = make_window(WindowRecipe("bspline", order=1, widths=(4,)), pou_model)
     pou_lattice, pou_sequence = partition_of_unity_kernel(pou_window, pou_period=4, phases=2)
-    out = synthesis_map(pou_window, pou_lattice.adjoint(), pou_sequence.values)
+    out = synthesis_map(pou_window, pou_lattice.adjoint(), pou_sequence)
     verdict = check_all_conditions(pou_window, pou_lattice, config.tol_scale)
     return {
         "alternating_ladder": ladder,

@@ -15,70 +15,33 @@ orthogonal in the trace inner product), so one-sided inverses are two-sided;
 inverse of an invertible frame operator is again a shift series over the
 same lattice.
 
+Sequences are :class:`gaborkit.lattice.TwistedSequence` grids, the same
+type the coefficient map returns and the synthesis map accepts.
+
 Kernel machinery: ``kernel_basis`` returns an orthonormal basis of the
 nullspace of the synthesis map on a lattice (the kernel is a module under
 the # product), and ``index_commutative`` counts the pure-frequency
 sequences inside that kernel when all lattice shifts commute -- zero exactly
-when the dual-side system is a frame.
+when the dual-side system is a frame.  Both read the window-factor blocks:
+the kernel is the sum of the blocks' left nullspaces, and on a commuting
+lattice every block is a single row holding one character, so the index is
+a count of the synthesis singular values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
-from .lattice import SeparableLattice
+from .lattice import SeparableLattice, TwistedSequence
 from .operators import (
     SystemSpectra,
     _factor_sizes,
     _guard_dense,
     _twisted_matrix,
-    coefficient_map,
-    window_samples,
+    shift_autocorrelation,
 )
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
-
-
-@dataclass
-class TwistedSequence:
-    """An element of the twisted-convolution algebra of ``lattice``:
-    a complex array on the lattice grid, shape (L/a, L/b)."""
-
-    values: np.ndarray
-    lattice: SeparableLattice = field(repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.lattice.grid_shape:
-            raise ShapeMismatchError(
-                f"sequence shape {self.values.shape} does not match lattice grid "
-                f"{self.lattice.grid_shape}"
-            )
-
-    @classmethod
-    def delta(cls, lattice) -> "TwistedSequence":
-        """The algebra unit: 1 at (0, 0), else 0."""
-        values = np.zeros(lattice.grid_shape, dtype=complex)
-        values[0, 0] = 1.0
-        return cls(values, lattice)
-
-    @classmethod
-    def point_mass(cls, lattice, k, l, weight=1.0) -> "TwistedSequence":
-        values = np.zeros(lattice.grid_shape, dtype=complex)
-        values[k % lattice.n_time, l % lattice.n_freq] = weight
-        return cls(values, lattice)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-    def norm1(self) -> float:
-        return float(np.sum(np.abs(self.values)))
-
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def _require_same_lattice(a: TwistedSequence, b: TwistedSequence):
@@ -137,8 +100,7 @@ def janssen_coefficients(g, lattice: SeparableLattice) -> TwistedSequence:
     ``pi(a) = S`` exactly.  On the full lattice this reduces to ``S = L*I``
     for unit windows."""
     adjoint = lattice.adjoint()
-    acf = coefficient_map(g, adjoint, window_samples(g))
-    return TwistedSequence(acf.values / lattice.covolume, adjoint)
+    return TwistedSequence(shift_autocorrelation(g, adjoint).values / lattice.covolume, adjoint)
 
 
 def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSequence:
@@ -209,28 +171,6 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     return [TwistedSequence(grid, lattice) for grid in grids]
 
 
-def _character_residuals(lattice: SeparableLattice, blocks, scale) -> np.ndarray:
-    """``|D chi| / |chi|`` for every character ``chi(k, l) = exp(2*pi*i*(x1*k/N
-    + x2*l/M))`` of the grid, shape (N, M), from the window-factor blocks.
-
-    The synthesis map sends the character ``(nu1 + d*t, -(rho + c*sigma))``
-    into block ``(nu1, sigma, rho)`` alone, as the phases ``exp(2*pi*i*(nu1
-    + d*t)*k0/N)`` over ``k0``; its image there is ``W^H`` times them, and
-    the residual is that vector's norm times ``sqrt(M/(p*q))``.
-    """
-    d, q, c = blocks.shape[:3]
-    N, M = lattice.grid_shape
-    x1 = np.arange(N).reshape(q, d).T  # x1[nu1, t] = nu1 + d*t
-    phases = np.exp(2j * np.pi * ((x1[:, None, :] * np.arange(q)[None, :, None]) % N) / N)
-    images = np.conj(blocks).swapaxes(-1, -2) @ phases[:, None, None]
-    out = np.empty((N, M))
-    x2 = (-(np.arange(c) + c * np.arange(q)[:, None])) % M  # x2[sigma, rho]
-    out[x1[:, None, None, :], x2[None, :, :, None]] = (
-        scale / np.sqrt(q) * np.linalg.norm(images, axis=-2)
-    )
-    return out
-
-
 def index_commutative(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> int:
@@ -240,11 +180,15 @@ def index_commutative(
     On a commuting lattice the kernel of the synthesis map is invariant
     under grid translations, so it is spanned by the characters it contains;
     counting those characters gives the kernel's module index.  The count is
-    zero exactly when the dual-side system is a frame.  The window-factor
-    blocks and the largest singular value of the synthesis map come from
-    ``spectra``, the window's entry on ``lattice`` (a new one when None).
-    Each character's residual comes from one block (see
-    :func:`_character_residuals`), so no L x n matrix is built.
+    zero exactly when the dual-side system is a frame.
+
+    ``L | a*b`` makes ``M = L/b`` divide ``a``, so the window factor has
+    ``c = M`` and ``q = 1``: each of its n blocks is 1 x p and carries
+    exactly one character, whose residual ``|D chi| / |chi|`` is the
+    block's one singular value.  The index is therefore the number of
+    synthesis singular values at or below ``margin_cutoff((L, n))`` times
+    the largest, read from ``spectra``, the window's entry on ``lattice`` (a
+    new one when None); no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
     nontrivial (for separable lattices: when L does not divide a*b).
@@ -255,8 +199,6 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    spectra = spectra or SystemSpectra(g, lattice)
-    blocks, scale = spectra.factor
-    cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * spectra.synthesis[0]
-    residuals = _character_residuals(lattice, blocks, scale)
-    return int(np.count_nonzero(residuals <= cutoff))
+    svals = (spectra or SystemSpectra(g, lattice)).synthesis
+    cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * svals[0]
+    return int(np.count_nonzero(svals <= cutoff))

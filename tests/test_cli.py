@@ -211,6 +211,9 @@ def test_unwritable_output_exit_1(tmp_path, capsys, argv, field):
         (["sweep", "--length", "8", "--seed", "-1"], "seed"),
         (["analyze", "--length", "12", "--lattice", "2,3", "--window", "gaussian:3"], "window"),
         (["analyze", "--length", "12", "--lattice", "2,3", "--window", "delta:1"], "window"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--window", "bspline:1"], "window"),
+        (["analyze", "--length", "8", "--lattice", "2,2", "--window", "conv:"], "window"),
+        (["sweep", "--length", "8", "--pairs", ";"], "pairs"),
     ],
 )
 def test_bad_recipe_or_seed_exit_1(capsys, argv, field):

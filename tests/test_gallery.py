@@ -106,11 +106,13 @@ def test_recipe_parsing():
     assert (r.kind, r.widths) == ("convolution_product", (4, 2))
     assert WindowRecipe.parse("file:/tmp/w.txt").path == "/tmp/w.txt"
     with pytest.raises(LatticeError):
-        WindowRecipe.parse("bspline:2")
+        WindowRecipe.parse("boxcar:2")
 
 
 @pytest.mark.parametrize(
-    "text", ["bspline:x:2", "bspline:2:4.5", "conv:a", "conv:4,b", "gaussian:3", "delta:1"]
+    "text",
+    ["bspline:x:2", "bspline:2:4.5", "conv:a", "conv:4,b", "gaussian:3", "delta:1",
+     "bspline:2", "bspline:1", "conv:"],
 )
 def test_recipe_non_integer_fields_are_config_errors(text):
     with pytest.raises(ConfigError) as err:

@@ -1,8 +1,11 @@
 """Shift operators, composition phases, lattices and adjoints."""
 
+from types import ModuleType
+
 import numpy as np
 import pytest
 
+import gaborkit
 from gaborkit import (
     FiniteModel,
     LatticeError,
@@ -215,3 +218,10 @@ def test_commuting_shifts_flag():
     assert SeparableLattice(16, 4, 4).has_commuting_shifts
     assert not SeparableLattice(16, 2, 2).has_commuting_shifts
     assert SeparableLattice(12, 3, 4).has_commuting_shifts
+
+
+def test_package_exports_one_grid_sequence_type_and_no_modules():
+    assert {"TwistedSequence", "LatticeCoefficients"} <= set(gaborkit.__all__)
+    assert gaborkit.LatticeCoefficients is gaborkit.TwistedSequence
+    assert not [name for name in gaborkit.__all__
+                if isinstance(getattr(gaborkit, name), ModuleType)]

@@ -7,6 +7,7 @@ import pytest
 from gaborkit import (
     FiniteModel,
     NonCommutativeLatticeError,
+    NotAFrameError,
     SeparableLattice,
     ShapeMismatchError,
     SingularAlgebraError,
@@ -16,6 +17,7 @@ from gaborkit import (
     WindowRecipe,
     algebra_adjoint,
     compose_shifts,
+    divisor_pairs,
     frame_operator_matrix,
     gramian_matrix,
     index_commutative,
@@ -28,9 +30,11 @@ from gaborkit import (
     represent,
     right_multiplier_matrix,
     shift_autocorrelation,
+    synthesis_map,
     synthesis_matrix,
     twisted_convolve,
     twisted_invert,
+    wexler_raz_dual,
 )
 from conftest import random_signal, random_unit_window
 from oracles import naive_character_residuals, naive_represent, naive_twisted
@@ -200,6 +204,34 @@ def test_invert_janssen_gives_inverse_frame_operator(rng, L, a, b):
     assert np.linalg.norm(represent(inv) - S_inv) <= 1e-10 * np.linalg.norm(S_inv)
 
 
+def test_janssen_coefficients_of_the_dual_invert_those_of_the_window():
+    # S^-1 is the frame operator of the canonical dual system, so the dual's
+    # Janssen coefficients are the algebra inverse of the window's: a second
+    # route to twisted_invert, good to a small multiple of EPS*kappa(S)
+    # (measured worst 3.6*EPS*kappa over these cases).
+    eps = np.finfo(float).eps
+    checked = 0
+    for L in (12, 16, 24, 36, 48):
+        rng = np.random.default_rng(700 + L)
+        windows = {"gaussian": Window.unit(periodized_gaussian(L), "g"),
+                   "random": random_unit_window(rng, L)}
+        for a, b in divisor_pairs(L):
+            lat = SeparableLattice(L, a, b)
+            for name, g in windows.items():
+                try:
+                    dual = wexler_raz_dual(g, lat)
+                except NotAFrameError:
+                    continue
+                frame = SystemSpectra(g, lat).frame
+                want = twisted_invert(janssen_coefficients(g, lat))
+                got = janssen_coefficients(dual, lat)
+                assert got.lattice == want.lattice
+                err = np.linalg.norm(got.values - want.values) / want.norm2()
+                assert err <= 16 * eps * frame[-1] / frame[0], (name, L, a, b)
+                checked += 1
+    assert checked == 320
+
+
 def test_invert_generic_sequence_two_sided(rng):
     # Wiener closure for a generic invertible element: the computed inverse
     # is two-sided and represents the inverse operator.
@@ -244,7 +276,7 @@ def test_gramian_is_right_multiplication_by_autocorrelation(rng, L, a, b):
     # n > L, n < L, n = L, n > L, n < L.
     lat = SeparableLattice(L, a, b)
     g = random_unit_window(rng, L)
-    acf = TwistedSequence(shift_autocorrelation(g, lat).values, lat)
+    acf = shift_autocorrelation(g, lat)
     assert np.array_equal(gramian_matrix(g, lat), right_multiplier_matrix(acf))
 
 
@@ -335,6 +367,22 @@ def test_index_critical_gaussian_exact_kernel():
     adj = lat.adjoint()
     assert adj.has_commuting_shifts
     assert index_commutative(g, adj) >= 1
+
+
+def test_synthesis_map_takes_sequences_on_its_lattice(rng):
+    model = FiniteModel(16)
+    g = make_window(WindowRecipe("bspline", order=1, widths=(4,)), model)
+    lat, _ = partition_of_unity_kernel(g, pou_period=4, phases=2)
+    adj = lat.adjoint()
+    sequences = kernel_basis(g, adj) + [janssen_coefficients(g, lat)]
+    assert len(sequences) > 1 and all(seq.lattice == adj for seq in sequences)
+    for seq in sequences:
+        assert np.array_equal(synthesis_map(g, adj, seq), synthesis_map(g, adj, seq.values))
+    # Same grid shape, another lattice: refused for the lattice, not the shape.
+    other = SeparableLattice(8, 8 * adj.a // 16, 8 * adj.b // 16)
+    elsewhere = TwistedSequence(random_signal(rng, adj.cardinality).reshape(adj.grid_shape), other)
+    with pytest.raises(ShapeMismatchError):
+        synthesis_map(g, adj, elsewhere)
 
 
 def test_sequence_shape_validation():
