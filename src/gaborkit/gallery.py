@@ -43,8 +43,8 @@ class WindowRecipe:
     def parse(cls, text: str) -> "WindowRecipe":
         """Parse CLI recipe strings: ``delta``, ``gaussian``,
         ``bspline:ORDER:WIDTH``, ``conv:W1,W2,...``, ``file:PATH``.  A known
-        head with bad fields is a ConfigError on ``window``; an unknown head
-        is a LatticeError, which callers may take to mean a file path."""
+        head with bad fields is a ConfigError on ``window``; any other text
+        is a path, ``WindowRecipe("file", path=text)``."""
         head, colon, rest = text.partition(":")
         head = head.strip().lower()
         if head in ("delta", "gaussian", "periodized_gaussian"):
@@ -62,9 +62,21 @@ class WindowRecipe:
             if not widths:
                 raise ConfigError("window", f"convolution recipe needs widths, got {text!r}")
             return cls("convolution_product", widths=widths)
-        if head == "file":
-            return cls("file", path=rest)
-        raise LatticeError(f"cannot parse window recipe {text!r}")
+        return cls("file", path=rest if head == "file" else text)
+
+    def fault(self, L: int) -> str:
+        """Why this recipe has no window of length ``L``; "" if it has one."""
+        if self.kind == "bspline":
+            if self.order < 1:
+                return f"bspline order must be >= 1, got {self.order}"
+            if len(self.widths) != 1:
+                return "bspline recipe takes exactly one width"
+        for w in self.widths:
+            if w < 1:
+                return f"box width must be positive, got {w}"
+            if L % w != 0:
+                return f"box width {w} does not divide L={L}"
+        return ""
 
 
 def _recipe_ints(fields, text):
@@ -102,17 +114,14 @@ def _box_product(L: int, widths) -> np.ndarray:
     return out
 
 
-def _check_widths(L, widths):
-    for w in widths:
-        if w < 1:
-            raise LatticeError(f"box width must be positive, got {w}")
-        if L % w != 0:
-            raise LatticeError(f"box width {w} does not divide L={L}")
-
-
 def make_window(recipe: WindowRecipe, model) -> Window:
-    """Realize a recipe as a unit-norm window of length ``model.L``."""
+    """Realize a recipe as a unit-norm window of length ``model.L``; a
+    recipe with a :meth:`~WindowRecipe.fault` at that length is a
+    LatticeError."""
     L = model.L
+    fault = recipe.fault(L)
+    if fault:
+        raise LatticeError(fault)
     if recipe.kind == "delta":
         samples = np.zeros(L)
         samples[0] = 1.0
@@ -120,27 +129,20 @@ def make_window(recipe: WindowRecipe, model) -> Window:
     if recipe.kind == "periodized_gaussian":
         return Window.unit(periodized_gaussian(L), "periodized-gaussian")
     if recipe.kind == "bspline":
-        if recipe.order < 1:
-            raise LatticeError(f"bspline order must be >= 1, got {recipe.order}")
-        if len(recipe.widths) != 1:
-            raise LatticeError("bspline recipe takes exactly one width")
-        _check_widths(L, recipe.widths)
         samples = _box_product(L, recipe.widths * recipe.order)
         return Window.unit(samples, f"bspline-{recipe.order}(w={recipe.widths[0]})")
     if recipe.kind == "convolution_product":
-        _check_widths(L, recipe.widths)
         samples = _box_product(L, recipe.widths)
         return Window.unit(samples, f"conv{list(recipe.widths)}")
-    if recipe.kind == "file":
-        from .reporting import load_window
+    # The one kind left is "file".
+    from .reporting import load_window
 
-        samples = load_window(recipe.path)
-        if samples.shape != (L,):
-            raise ShapeMismatchError(
-                f"window file {recipe.path!r} has length {samples.shape[0]}, expected {L}"
-            )
-        return Window.unit(samples, f"file:{recipe.path}")
-    raise LatticeError(f"unknown recipe kind {recipe.kind!r}")
+    samples = load_window(recipe.path)
+    if samples.shape != (L,):
+        raise ShapeMismatchError(
+            f"window file {recipe.path!r} has length {samples.shape[0]}, expected {L}"
+        )
+    return Window.unit(samples, f"file:{recipe.path}")
 
 
 def random_window(model, rng, label="random") -> Window:

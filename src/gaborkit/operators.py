@@ -355,18 +355,16 @@ def shift_autocorrelation(g, lattice: SeparableLattice) -> TwistedSequence:
     return coefficient_map(g, lattice, g)
 
 
-def _twisted_matrix(values, lattice: SeparableLattice, *, left=False) -> np.ndarray:
-    """The n x n matrix of twisted multiplication by ``values`` (see
-    :mod:`gaborkit.twisted`) on flat grid order.  Right multiplication,
-    ``M[lam, mu] = exp(-2*pi*i*mu_1*(lam_2 - mu_2)/L) * values[lam - mu]``,
-    is the Gramian when ``values`` is the shift autocorrelation; ``left``
-    takes the phase ``exp(-2*pi*i*(lam_1 - mu_1)*mu_2/L)`` instead."""
+def _twisted_matrix(values, lattice: SeparableLattice) -> np.ndarray:
+    """The n x n matrix of right twisted multiplication by ``values`` (see
+    :mod:`gaborkit.twisted`) on flat grid order,
+    ``M[lam, mu] = exp(-2*pi*i*mu_1*(lam_2 - mu_2)/L) * values[lam - mu]``:
+    the Gramian when ``values`` is the shift autocorrelation."""
     L = lattice.L
     kv, lv = np.divmod(np.arange(lattice.cardinality), lattice.n_freq)
     dk = (kv[:, None] - kv[None, :]) % lattice.n_time
     dl = (lv[:, None] - lv[None, :]) % lattice.n_freq
-    k, l = (dk, lv[None, :]) if left else (kv[None, :], dl)
-    expo = (-(k * lattice.a) * ((l * lattice.b) % L)) % L
+    expo = (-(kv[None, :] * lattice.a) * ((dl * lattice.b) % L)) % L
     return values[dk, dl] * np.exp(2j * np.pi * expo / L)
 
 

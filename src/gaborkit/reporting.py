@@ -30,7 +30,7 @@ from .diagnostics import (
     wexler_raz_dual,
     wexler_raz_residual,
 )
-from .errors import ConfigError, LatticeError
+from .errors import ConfigError
 from .gallery import (
     WindowRecipe,
     gaussian_alternating_kernel_probe,
@@ -132,13 +132,12 @@ class AnalysisConfig:
 
     def build_window(self) -> Window:
         model = FiniteModel(self.length)
-        text = self.window
-        if text.strip().lower() == "random":
+        if self.window.strip().lower() == "random":
             return random_window(model, np.random.default_rng(self.seed), "random")
-        try:
-            recipe = WindowRecipe.parse(text)
-        except LatticeError:
-            recipe = WindowRecipe("file", path=text)
+        recipe = WindowRecipe.parse(self.window)
+        fault = recipe.fault(self.length)
+        if fault:
+            raise ConfigError("window", fault)
         return make_window(recipe, model)
 
 
@@ -380,10 +379,12 @@ def divisor_pairs(length: int):
 
 
 def sweep(base: AnalysisConfig, pairs=None):
-    """Run bounds + duality over a grid of lattice steps.
+    """Run frame bounds, the fourteen-way harness and the duality check over
+    a grid of lattice steps.
 
-    Returns one row per (a, b) with redundancy, frame bounds, the frame and
-    duality verdicts, and the marginal flag, in grid order.  The window is
+    Returns one row per (a, b), in grid order, with redundancy, frame
+    bounds, the frame and duality verdicts, and the harness's
+    ``consistent`` and ``marginal`` flags.  The window is
     built once, and row (a, b) reuses the spectra of row (L/b, L/a), its
     adjoint; writes CSV to ``base.out`` when set.
     """

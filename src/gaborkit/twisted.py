@@ -44,16 +44,6 @@ from .operators import (
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 
 
-def _require_same_lattice(a: TwistedSequence, b: TwistedSequence):
-    if a.lattice != b.lattice:
-        raise ShapeMismatchError("twisted convolution requires sequences on the same lattice")
-
-
-def left_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
-    """Matrix of ``b -> a # b`` on flat grid order."""
-    return _twisted_matrix(a.values, a.lattice, left=True)
-
-
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
     """Matrix of ``c -> c # a`` on flat grid order (the operator whose
     invertibility the algebra's spectral-invariance statement is about);
@@ -63,8 +53,9 @@ def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
 
 def twisted_convolve(a: TwistedSequence, b: TwistedSequence) -> TwistedSequence:
     """The twisted product a # b."""
-    _require_same_lattice(a, b)
-    out = left_multiplier_matrix(a) @ b.flat
+    if a.lattice != b.lattice:
+        raise ShapeMismatchError("twisted convolution requires sequences on the same lattice")
+    out = right_multiplier_matrix(b) @ a.flat
     return TwistedSequence(out.reshape(a.lattice.grid_shape), a.lattice)
 
 

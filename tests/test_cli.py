@@ -1,12 +1,19 @@
 """Command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaborkit import load_window
+import gaborkit
+from gaborkit import AnalysisConfig, load_window, run, sweep
 from gaborkit.cli import main
+from gaborkit.reporting import jsonable
 
 
 def test_analyze_onb(tmp_path, capsys):
@@ -214,6 +221,12 @@ def test_unwritable_output_exit_1(tmp_path, capsys, argv, field):
         (["analyze", "--length", "8", "--lattice", "2,2", "--window", "bspline:1"], "window"),
         (["analyze", "--length", "8", "--lattice", "2,2", "--window", "conv:"], "window"),
         (["sweep", "--length", "8", "--pairs", ";"], "pairs"),
+        (["sweep", "--length", "8", "--pairs", "2"], "pairs"),
+        (["sweep", "--length", "8", "--pairs", "a,b"], "pairs"),
+        (["sweep", "--length", "8", "--pairs", "2,2,2"], "pairs"),
+        (["sweep", "--length", "8", "--pairs", "2,2;3"], "pairs"),
+        (["analyze", "-L", "8", "--lattice", "2,2", "--window", "bspline:0:2"], "window"),
+        (["analyze", "-L", "8", "--lattice", "2,2", "--window", "conv:3"], "window"),
     ],
 )
 def test_bad_recipe_or_seed_exit_1(capsys, argv, field):
@@ -222,3 +235,99 @@ def test_bad_recipe_or_seed_exit_1(capsys, argv, field):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ")
     assert "Traceback" not in err
+
+
+def _report(text):
+    """A report's JSON without its ``timing`` block."""
+    payload = json.loads(text)
+    del payload["timing"]
+    return payload
+
+
+# Each command's argv beside the config it stands for; the fixed fields are
+# the command's own, the others the flag defaults.
+@pytest.mark.parametrize(
+    "argv,fields",
+    [
+        (["analyze", "-L", "12", "--lattice", "2,3", "--window", "bspline:1:3"],
+         dict(length=12, a=2, b=3, window="bspline:1:3")),
+        (["analyze", "-L", "12", "--lattice", "3,2", "--window", "random", "--seed", "7",
+          "--tasks", "bounds,janssen", "--tol-scale", "2"],
+         dict(length=12, a=3, b=2, window="random", seed=7, tasks=("bounds", "janssen"),
+              tol_scale=2.0)),
+        (["dual", "-L", "12", "--lattice", "2,3", "--window", "random", "--out", "{tmp}/d.txt"],
+         dict(length=12, a=2, b=3, window="random", tasks=("dual_window",))),
+        (["kernel", "-L", "16", "--lattice", "2,4", "--window", "random"],
+         dict(length=16, a=2, b=4, window="random", tasks=("kernel", "index"))),
+        (["gallery", "--seed", "3"],
+         dict(length=16, a=4, b=4, window="gaussian", tasks=("gallery",), seed=3)),
+        (["sweep", "-L", "12", "--window", "delta", "--pairs", "1,12;2,2;3,4"],
+         dict(length=12, a=1, b=1, window="delta")),
+    ],
+)
+def test_command_is_its_config(tmp_path, capsys, argv, fields):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    config = AnalysisConfig(**fields)
+    if argv[0] == "sweep":
+        assert json.loads(out) == jsonable(sweep(config, [(1, 12), (2, 2), (3, 4)]))
+        return
+    want = run(config)
+    if argv[0] == "dual":
+        summary = dict(want.results["dual_window"])
+        assert np.array_equal(load_window(tmp_path / "d.txt"), summary.pop("samples"))
+        assert json.loads(out) == jsonable(summary)
+    else:
+        assert _report(out) == _report(want.to_json())
+
+
+# Each subcommand's flags; a fixed config value is a parser default, not a flag.
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("analyze", ["-h", "--help", "--length", "-L", "--lattice", "--window", "--tol-scale",
+                     "--seed", "--out", "--tasks", "--spectra"]),
+        ("sweep", ["-h", "--help", "--length", "-L", "--window", "--tol-scale", "--seed",
+                   "--out", "--pairs"]),
+        ("gallery", ["-h", "--help", "--out", "--tol-scale", "--seed"]),
+        ("dual", ["-h", "--help", "--length", "-L", "--lattice", "--window", "--tol-scale",
+                  "--seed", "--out"]),
+        ("kernel", ["-h", "--help", "--length", "-L", "--lattice", "--window", "--tol-scale",
+                    "--seed", "--out"]),
+    ],
+)
+def test_subcommand_help_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = []
+    for line in text.split("options:")[1].splitlines():
+        if line.startswith("  -"):
+            listed += re.findall(r"-{1,2}[\w-]+", re.split(r"\s{2,}", line.strip())[0])
+    assert listed == flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--length", "8", "--pairs", " ; 2,2 "],
+        ["analyze", "--length", "8", "--lattice", "2,2"],
+    ],
+)
+def test_closed_stdout_exit_1(argv):
+    # The reader is gone before the command starts, so its first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(gaborkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaborkit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

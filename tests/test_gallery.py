@@ -105,8 +105,8 @@ def test_recipe_parsing():
     r = WindowRecipe.parse("conv:4,2")
     assert (r.kind, r.widths) == ("convolution_product", (4, 2))
     assert WindowRecipe.parse("file:/tmp/w.txt").path == "/tmp/w.txt"
-    with pytest.raises(LatticeError):
-        WindowRecipe.parse("boxcar:2")
+    # Any other text is a path.
+    assert WindowRecipe.parse("boxcar:2") == WindowRecipe("file", path="boxcar:2")
 
 
 @pytest.mark.parametrize(
