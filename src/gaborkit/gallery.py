@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LatticeError, PartitionOfUnityError, ShapeMismatchError
+from .errors import ConfigError, LatticeError, PartitionOfUnityError
 from .lattice import SeparableLattice, TwistedSequence
 from .operators import Window, synthesis_map, window_samples
 
@@ -117,7 +117,8 @@ def _box_product(L: int, widths) -> np.ndarray:
 def make_window(recipe: WindowRecipe, model) -> Window:
     """Realize a recipe as a unit-norm window of length ``model.L``; a
     recipe with a :meth:`~WindowRecipe.fault` at that length is a
-    LatticeError."""
+    LatticeError, and a window file of another length a ConfigError on
+    ``window``."""
     L = model.L
     fault = recipe.fault(L)
     if fault:
@@ -139,8 +140,8 @@ def make_window(recipe: WindowRecipe, model) -> Window:
 
     samples = load_window(recipe.path)
     if samples.shape != (L,):
-        raise ShapeMismatchError(
-            f"window file {recipe.path!r} has length {samples.shape[0]}, expected {L}"
+        raise ConfigError(
+            "window", f"window file {recipe.path!r} has length {samples.shape[0]}, expected {L}"
         )
     return Window.unit(samples, f"file:{recipe.path}")
 

@@ -12,8 +12,16 @@ both as explicit matrices for spectral diagnostics and as matrix-free
 applications for long signals.  ``D`` is the conjugate transpose of ``C``
 entrywise, so the adjointness ``<C f, c> = <f, D c>`` holds exactly.
 
-The matrix-free routes are factorized in the Zak domain (Zibulski-Zeevi;
-LTFAT's ``comp_wfac``).  With ``M = L/b`` and ``N = L/a`` the block sizes are
+The matrix-free maps have two routes, chosen by the window's exact zeros
+alone.  A painless window (Daubechies-Grossmann-Meyer), whose nonzeros lie
+in one circular interval of at most ``M = L/b`` samples, meets each
+frequency period once, so every coefficient is one product and each time
+row one length-M FFT: ``n`` products and O(n*log(M)) work in one grid
+(:func:`_painless_analyze`, :func:`_painless_synthesize`).  Counting the
+nonzeros refuses most other windows before any span search.
+
+Every other window goes through the Zak domain (Zibulski-Zeevi; LTFAT's
+``comp_wfac``).  With ``M = L/b`` and ``N = L/a`` the block sizes are
 
     c = gcd(a, M),   p = a/c,   q = M/c,   d = N/q = b/p,
 
@@ -22,11 +30,13 @@ length-b FFT over ``m``) and :func:`_unzak` are the Zak transform and its
 inverse.  The window factor, ``c*q*d`` blocks of q x p (``q*L`` entries),
 holds the conjugated Zak transforms of the first q window translates;
 :func:`_window_factor` reads them all from one Zak table of the window by
-the shift identity, with no translate gathered.  The maps are the factor
-times the Zak transform of the signal plus FFTs of length d and M, run in
-place on one grid-sized array, with the scalings folded into the FFTs'
-``norm``.  S acts on the Zak transform as the p x p blocks ``(M/p) W^H W``,
-so the canonical dual is one batched solve of them (:func:`_frame_solve`).
+the shift identity, with no translate gathered.  The maps on this route
+are the factor times the Zak transform of the signal plus FFTs of length d
+and M, run in place on one grid-sized array, with the scalings folded into
+the FFTs' ``norm``.  :func:`frame_operator_apply` takes this route for
+every window, so it is the cross-route check of the painless maps.  S acts
+on the Zak transform as the p x p blocks ``(M/p) W^H W``, so the canonical
+dual is one batched solve of them (:func:`_frame_solve`).
 The synthesis spectrum is one batched SVD of the blocks, and the frame
 operator and Gramian spectra are its squares, as ``S = D D^H`` and
 ``G = D^H D`` (:class:`SystemSpectra`).  The analysis spectrum stays dense,
@@ -258,30 +268,136 @@ def _frame_solve(blocks, lattice, f):
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
 
 
+def _checked_window(g, lattice):
+    g = np.ascontiguousarray(window_samples(g))
+    if g.shape != (lattice.L,):
+        raise ShapeMismatchError(f"window length {g.shape} does not match L={lattice.L}")
+    return g
+
+
+def _painless_span(g, lattice):
+    """``(s0, g[s0 : s0 + M])``, indices mod L, when the nonzeros of ``g``
+    lie in one circular interval ``[s0, s0 + W)`` with ``W <= M = L/b``;
+    otherwise None.  Exact zeros only.  A window with more than M nonzeros
+    is refused by one count, before any span search."""
+    L, M = lattice.L, lattice.n_freq
+    # A sample is nonzero when either double is (-0.0 is a zero): its two
+    # comparisons read as one uint16.  Vectorized, unlike the complex
+    # comparison, so the count costs 24 us at L = 65536 instead of 210 us.
+    pairs = (g.view(float) != 0).view(np.uint16)
+    if not 0 < np.count_nonzero(pairs) <= M:
+        return None
+    nonzero = np.flatnonzero(pairs != 0)
+    gaps = np.diff(nonzero, append=nonzero[0] + L)  # to the next nonzero, circularly
+    last = int(np.argmax(gaps))
+    if L - gaps[last] >= M:  # the span is L - gap + 1
+        return None
+    s0 = int(nonzero[(last + 1) % nonzero.size])
+    return s0, g[(s0 + np.arange(M)) % L]
+
+
+def _painless_layout(lattice, s0):
+    """Where the painless maps read the signal's periods ``f(P*M + r)``,
+    ``r < M``, for a window supported in ``[s0, s0 + M)``.
+
+    Row ``k = k2*q + i`` of the grid starts at ``k*a + s0 =
+    (k2*p + B_i)*M + e_i``, as ``q*a = p*M``, so for ``r < e_i`` it reads
+    period ``k2*p + B_i + 1`` and for ``r >= e_i`` period ``k2*p + B_i``,
+    each against ``window[(r - e_i) mod M]``.  Returns ``first = s0 // M``,
+    the number of periods read from there on (mod b, at least b), and per
+    ``i < q`` the tuple ``(i, e_i, rows before e_i, rows from e_i)``, the
+    rows as strided slices of those periods."""
+    _, p, q, d = _factor_sizes(lattice)
+    M, first = lattice.n_freq, s0 // lattice.n_freq
+    slabs = []
+    for i in range(q):
+        B, e = divmod(s0 + i * lattice.a, M)
+        row = B - first
+        stop = row + 1 + (d - 1) * p
+        slabs.append((i, e, slice(row + 1, stop + 1, p), slice(row, stop, p)))
+    return first, max(lattice.b, slabs[-1][2].stop), slabs
+
+
+def _painless_analyze(lattice, s0, window, f):
+    """:func:`_analyze` for a window whose support lies in ``[s0, s0 + M)``,
+    with ``window = g[s0 : s0 + M]``: each coefficient is one product, two
+    strided ones per slab of :func:`_painless_layout`, then one in-place
+    length-M FFT per row."""
+    first, count, slabs = _painless_layout(lattice, s0)
+    b, M = lattice.b, lattice.n_freq
+    periods = f.reshape(b, M)[(first + np.arange(count)) % b]
+    conj_window = np.conj(window)
+    q = len(slabs)
+    grid = np.empty((lattice.n_time // q, q, M), dtype=complex)  # [k2, i, r]
+    for i, e, before, after in slabs:
+        np.multiply(periods[before, :e], conj_window[M - e :], out=grid[:, i, :e])
+        np.multiply(periods[after, e:], conj_window[: M - e], out=grid[:, i, e:])
+    grid = grid.reshape(lattice.grid_shape)
+    return np.fft.fft(grid, axis=1, out=grid)
+
+
+def _painless_synthesize(lattice, s0, window, values):
+    """The exact adjoint of :func:`_painless_analyze`, shape (..., L/a, L/b)
+    -> (..., L): one length-M inverse FFT of the values (``norm`` "forward"
+    is the factor M), the same slabs times the window, added into zeroed
+    periods, and the periods past the b-th folded back."""
+    first, count, slabs = _painless_layout(lattice, s0)
+    b, M = lattice.b, lattice.n_freq
+    lead = values.shape[:-2]
+    q = len(slabs)
+    rows = np.fft.ifft(values, axis=-1, norm="forward").reshape(*lead, lattice.n_time // q, q, M)
+    periods = np.zeros((*lead, count, M), dtype=complex)
+    for i, e, before, after in slabs:
+        head, tail = rows[..., i, :e], rows[..., i, e:]
+        head *= window[M - e :]
+        tail *= window[: M - e]
+        periods[..., before, :e] += head
+        periods[..., after, e:] += tail
+    signal = periods[..., :b, :]
+    for start in range(b, count, b):  # count <= b + 2: one pass unless b = 1
+        wrapped = periods[..., start : start + b, :]
+        signal[..., : wrapped.shape[-2], :] += wrapped
+    return np.roll(signal, first, axis=-2).reshape(*lead, lattice.L)
+
+
 def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
     """Analysis coefficients ``c[k, l] = <f, shift((k*a, l*b)) g>``.
 
-    Factorized through the Zak transform.  Row ``k`` is the length-M FFT
-    of ``F[k, r] = sum_m f(r + M*m) conj(g(r + M*m - k*a))``.  Splitting
-    ``r = rho + c*sigma`` and ``k = k0 + q*k2`` turns the fold over ``m``
-    into the Zak transform of ``f`` times the window factor, summed over
-    the ``p`` aliases ``nu1 + d*nu2`` and inverted by a length-d FFT over
-    ``k2``.  Memory O(q*L) and work O(q*L*log(b) + n*log(n)), against
-    O(L*L/a) for the fold itself (``L/a = q*d``).
+    Row ``k`` is the length-M FFT of ``F[k, r] = sum_m f(r + M*m)
+    conj(g(r + M*m - k*a))``.  Two routes, chosen by the window's exact
+    zeros alone:
+
+    * painless: the nonzeros of ``g`` lie in one circular interval of at
+      most ``M = L/b`` samples.  Then each ``F[k, r]`` has one term, and
+      the map is ``n`` products and ``L/a`` FFTs of length M: work
+      O(n*log(M)), memory one grid (:func:`_painless_analyze`).
+    * Zak: otherwise.  Splitting ``r = rho + c*sigma`` and
+      ``k = k0 + q*k2`` turns the fold over ``m`` into the Zak transform
+      of ``f`` times the window factor, summed over the ``p`` aliases
+      ``nu1 + d*nu2`` and inverted by a length-d FFT over ``k2``.  Memory
+      O(q*L) and work O(q*L*log(b) + n*log(n)), against O(L*L/a) for the
+      fold itself (``L/a = q*d``).
     """
     f = _check_signal(lattice, f)
+    g = _checked_window(g, lattice)
+    span = _painless_span(g, lattice)
+    if span is not None:
+        return TwistedSequence(_painless_analyze(lattice, *span, f), lattice)
     return TwistedSequence(_analyze(_window_factor(g, lattice)[0], lattice, f), lattice)
 
 
 def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     """Synthesize ``sum_{k,l} c[k, l] * shift((k*a, l*b)) g``.
 
-    The exact adjoint of :func:`coefficient_map`, through the same window
-    factor: per time row an inverse length-M FFT, a length-d FFT over
-    ``k2``, the conjugated factor summed over ``k0``, and an inverse Zak
-    transform.  Same cost as :func:`coefficient_map`.  A stack of
-    coefficient grids, shape (..., L/a, L/b), gives one signal per grid
-    from one window factor; a :class:`TwistedSequence` must lie on ``lattice``.
+    The exact adjoint of :func:`coefficient_map`, on the same route.  The
+    painless route is one inverse length-M FFT per time row and one
+    product per coefficient, added into the signal.  The Zak route runs
+    through the window factor: per time row an inverse length-M FFT, a
+    length-d FFT over ``k2``, the conjugated factor summed over ``k0``, and
+    an inverse Zak transform.  Each costs what its :func:`coefficient_map`
+    costs.  A stack of coefficient grids, shape (..., L/a, L/b), gives one
+    signal per grid from one window; a :class:`TwistedSequence` must lie on
+    ``lattice``.
     """
     if isinstance(coeffs, TwistedSequence):
         if coeffs.lattice != lattice:
@@ -294,6 +410,10 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
                 f"coefficient shape {values.shape} does not match lattice grid "
                 f"{lattice.grid_shape}"
             )
+    g = _checked_window(g, lattice)
+    span = _painless_span(g, lattice)
+    if span is not None:
+        return _painless_synthesize(lattice, *span, values)
     return _synthesize(_window_factor(g, lattice)[0], lattice, values)
 
 

@@ -61,6 +61,16 @@ def test_analyze_non_finite_window_file_exit_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_analyze_window_file_of_wrong_length_exit_1(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("1\t0\n0.5\t0\n")
+    code = main(["analyze", "-L", "8", "--lattice", "2,2", "--window", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: window: window file {str(path)!r} has length 2, expected 8")
+    assert "Traceback" not in err
+
+
 def test_sweep_csv(tmp_path):
     out = tmp_path / "t.csv"
     code = main(

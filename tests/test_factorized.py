@@ -31,7 +31,15 @@ from gaborkit import (
 )
 from gaborkit import diagnostics, operators, reporting
 from gaborkit.cli import main
-from gaborkit.operators import _factor_sizes, _unzak, _window_factor, _zak
+from gaborkit.operators import (
+    _analyze,
+    _factor_sizes,
+    _painless_span,
+    _synthesize,
+    _unzak,
+    _window_factor,
+    _zak,
+)
 from gaborkit.tolerances import margin_cutoff
 from conftest import dense_gramian_spectrum, random_signal, random_unit_window
 from oracles import naive_character_residuals, translate_window_factor
@@ -172,6 +180,134 @@ def test_synthesis_map_takes_a_stack_of_grids():
         for index in np.ndindex(3, 2):
             want = synthesis_map(g, lat, stack[index])
             assert np.linalg.norm(got[index] - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def span_window(rng, L, start, span, hole=None):
+    """A random complex window whose nonzeros lie in ``[start, start + span)``
+    mod L, with an exact zero at offset ``hole`` when given."""
+    g = np.zeros(L, dtype=complex)
+    g[(start + np.arange(span)) % L] = random_signal(rng, span)
+    if hole is not None:
+        g[(start + hole) % L] = 0.0
+    return g
+
+
+def painless_windows(rng, L, M):
+    """Spans 1..M at random starts; the span M starts at L - 1, so it wraps
+    across 0 whenever M > 1, and every other span of at least 4 has an
+    interior zero."""
+    for span in range(1, M + 1):
+        start = L - 1 if span == M else int(rng.integers(L))
+        hole = int(rng.integers(1, span - 1)) if span >= 4 and span % 2 == 0 else None
+        yield start, span, span_window(rng, L, start, span, hole)
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_painless_maps_match_the_zak_route_and_dense(L):
+    rng = np.random.default_rng(600 + L)
+    for lat in divisor_lattices(L):
+        for start, span, g in painless_windows(rng, L, lat.n_freq):
+            where = f"span {span} at {start} on (L, a, b) = {(L, lat.a, lat.b)}"
+            assert _painless_span(g, lat) is not None, where
+            f = random_signal(rng, L)
+            stack = random_signal(rng, 2 * lat.cardinality).reshape(2, *lat.grid_shape)
+            blocks, _ = _window_factor(g, lat)
+            coeffs = coefficient_map(g, lat, f).values
+            signals = synthesis_map(g, lat, stack)
+            assert signals.shape == (2, L), where
+            dense_coeffs = (analysis_matrix(g, lat) @ f).reshape(lat.grid_shape)
+            dense_signals = (synthesis_matrix(g, lat) @ stack.reshape(2, -1).T).T
+            routes = {
+                "coefficient_map": (coeffs, [_analyze(blocks, lat, f), dense_coeffs]),
+                "synthesis_map": (signals, [_synthesize(blocks, lat, stack), dense_signals]),
+            }
+            for name, (got, wants) in routes.items():
+                for want in wants:
+                    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+                    assert err <= 1e-12, f"{name}, {where}: {err:.2e}"
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_painless_route_ends_at_a_span_of_M(monkeypatch, L):
+    # A span of M takes the painless route; a span of M + 1 takes the Zak
+    # route, even with an interior zero that leaves only M nonzeros.
+    factors = []
+
+    def spy(g, lattice):
+        factors.append(lattice)
+        return _window_factor(g, lattice)
+
+    monkeypatch.setattr(operators, "_window_factor", spy)
+    rng = np.random.default_rng(700 + L)
+    for lat in divisor_lattices(L):
+        M = lat.n_freq
+        f = random_signal(rng, L)
+        cases = [(M, None, True)]
+        if M < L:
+            cases.append((M + 1, None, False))
+        if 2 < M + 1 < L:
+            cases.append((M + 1, M // 2, False))
+        for span, hole, painless in cases:
+            start = int(rng.integers(L))
+            g = span_window(rng, L, start, span, hole)
+            where = f"span {span} at {start} on (L, a, b) = {(L, lat.a, lat.b)}"
+            route = _painless_span(g, lat)
+            assert (route is not None) == painless, where
+            if painless and span < L:  # a span of L may start anywhere
+                assert route[0] == start, where
+                assert np.array_equal(route[1], g[(start + np.arange(M)) % L]), where
+            factors.clear()
+            got = coefficient_map(g, lat, f).flat
+            assert factors == ([] if painless else [lat]), where
+            want = analysis_matrix(g, lat) @ f
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), where
+
+
+#: A painless window on each ``stream`` lattice: (window, support <= L/b).
+STREAM_PAINLESS = (
+    (4096, 8, 32, "random"),
+    (16384, 16, 64, "bspline:3:64"),
+    (32768, 64, 128, "bspline:1:256"),
+    (65536, 256, 256, "bspline:1:256"),
+)
+
+
+@pytest.mark.parametrize("L,a,b,window", STREAM_PAINLESS, ids=[str(s[:3]) for s in STREAM_PAINLESS])
+def test_painless_round_trip_builds_no_factor(monkeypatch, L, a, b, window):
+    # S of a painless system is the Walnut diagonal
+    # w(t) = (L/b) * sum_k |g(t - k*a)|^2, so the round trip is w * f.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a painless map built the window factor")
+
+    monkeypatch.setattr(operators, "_window_factor", refuse)
+    rng = np.random.default_rng(L)
+    lat = SeparableLattice(L, a, b)
+    if window == "random":
+        g = span_window(rng, L, L - lat.n_freq // 2, lat.n_freq)
+    else:
+        g = reporting.AnalysisConfig(length=L, a=a, b=b, window=window).build_window().samples
+    f = random_signal(rng, L)
+    walnut = lat.n_freq * np.tile((np.abs(g) ** 2).reshape(lat.n_time, a).sum(axis=0), lat.n_time)
+    got = synthesis_map(g, lat, coefficient_map(g, lat, f))
+    assert np.linalg.norm(got - walnut * f) <= 1e-12 * np.linalg.norm(walnut * f)
+
+
+def test_painless_round_trip_holds_few_full_size_arrays():
+    # One coefficient grid is n = 262144 entries, 4 MiB.  The painless round
+    # trip holds the grid it was given and one working grid, with L-size
+    # periods of the signal; the Zak route adds a q*L factor (12.4 MiB).
+    L = 16384
+    lat = SeparableLattice(L, 16, 64)
+    g = reporting.AnalysisConfig(length=L, a=16, b=64, window="bspline:3:64").build_window()
+    f = random_signal(np.random.default_rng(7), L)
+    grid_bytes = 16 * lat.cardinality
+    tracemalloc.start()
+    try:
+        synthesis_map(g, lat, coefficient_map(g, lat, f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
 
 
 def oracle_windows(rng, L):
