@@ -13,6 +13,7 @@ from types import ModuleType as _ModuleType
 from ._version import __version__
 from .errors import (
     ConfigError,
+    CutoffError,
     GaborkitError,
     LatticeError,
     MemoryGuardError,

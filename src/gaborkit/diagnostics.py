@@ -38,9 +38,11 @@ from .errors import NotAFrameError, ShapeMismatchError
 from .gallery import periodized_gaussian
 from .lattice import SeparableLattice
 from .operators import (
-    SystemSpectra,
     Window,
     _frame_solve,
+    _guard_dense,
+    _spectra_for,
+    _window_factor,
     atom_stack,
     coefficient_map,
     synthesis_map,
@@ -165,7 +167,7 @@ def check_all_conditions(
     adjoint; S and G read D's squared.  Always returns a verdict;
     ``consistent`` records whether all fourteen booleans agree.
     """
-    spectra = spectra or SystemSpectra(g, lattice)
+    spectra = _spectra_for(g, lattice, spectra)
     adjoint = spectra.adjoint
     L = lattice.L
     n_adj = adjoint.lattice.cardinality
@@ -216,7 +218,7 @@ def frame_bounds(
     """Frame bounds from the frame operator spectrum, and Riesz bounds from
     its nonzero part, which S shares with the lattice Gramian: both are the
     squared singular values of the window-factor blocks."""
-    spectra = spectra or SystemSpectra(g, lattice)
+    spectra = _spectra_for(g, lattice, spectra)
     eig_frame = spectra.frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
 
@@ -249,9 +251,9 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     adjoint lattice (the constant is pinned by the orthonormal-basis and
     full-lattice cases).  Raises :class:`NotAFrameError` when the frame
     spectrum fails condition (ii); else solves on the window factor's p x p
-    blocks (:func:`gaborkit.operators._frame_solve`).
+    blocks (:func:`gaborkit.operators._frame_solve`) of its own factor.
     """
-    spectra = spectra or SystemSpectra(g, lattice)
+    spectra = _spectra_for(g, lattice, spectra)
     eigs = spectra.frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
     if _psd_margin(eigs) <= cut2:
@@ -260,7 +262,7 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
             sigma_min=float(eigs[0]),
             cutoff=cut2 * float(eigs[-1]),
         )
-    dual = _frame_solve(spectra.factor[0], lattice, window_samples(g))
+    dual = _frame_solve(_window_factor(g, lattice)[0], lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
     return Window(samples=dual, label=label, original_norm=float(np.linalg.norm(dual)))
 
@@ -287,6 +289,7 @@ def reconstruction_residual(g, dual, lattice: SeparableLattice, signals) -> floa
 def cross_gramian(phi, g, lattice: SeparableLattice) -> np.ndarray:
     """The cross-Gramian ``Phi[mu, nu] = <shift(nu) phi, shift(mu) g>`` of
     two windows over one lattice."""
+    _guard_dense(lattice.cardinality**2, "cross-Gramian")
     atoms_g = atom_stack(g, lattice)
     atoms_phi = atom_stack(phi, lattice)
     return np.conj(atoms_g) @ atoms_phi.T
@@ -297,8 +300,7 @@ def cross_gramian_row_sum_gap(phi, g, lattice: SeparableLattice) -> float:
     computable without the matrix as
     ``|<phi, g> - 1| + sum_{mu != 0} |<phi, shift(mu) g>|``."""
     vals = coefficient_map(g, lattice, window_samples(phi)).values
-    out = float(np.sum(np.abs(vals)) - abs(vals[0, 0]) + abs(vals[0, 0] - 1.0))
-    return out
+    return float(np.sum(np.abs(vals)) - abs(vals[0, 0]) + abs(vals[0, 0] - 1.0))
 
 
 def duality_check(
@@ -306,7 +308,7 @@ def duality_check(
 ) -> DualityRecord:
     """Frame verdict on the lattice against the Riesz verdict of the adjoint
     system, with both spectra attached."""
-    spectra = spectra or SystemSpectra(g, lattice)
+    spectra = _spectra_for(g, lattice, spectra)
     adjoint = spectra.adjoint
     eig_frame = spectra.frame
     eig_adj_gram = adjoint.gramian
@@ -328,6 +330,7 @@ def stft_grid(f, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if f.shape != phi.shape or f.ndim != 1:
         raise ShapeMismatchError("signal and analyzing window must be vectors of equal length")
+    _guard_dense(f.size**2, "STFT grid")
     t = np.arange(f.shape[0])
     return np.fft.fft(f[None, :] * np.conj(phi[(t[None, :] - t[:, None]) % t.size]), axis=1)
 

@@ -1,8 +1,8 @@
 """Exception hierarchy for the toolkit.
 
 All toolkit errors derive from :class:`GaborkitError` so callers can catch
-one base class.  Numerical-failure errors carry the offending singular
-value and the cutoff that rejected it.
+one base class.  Numerical-failure errors derive from :class:`CutoffError`
+and carry the offending singular value and the cutoff that rejected it.
 """
 
 
@@ -22,24 +22,23 @@ class MemoryGuardError(GaborkitError):
     """A dense matrix was requested beyond the explicit-matrix size cap."""
 
 
-class SingularAlgebraError(GaborkitError):
+class CutoffError(GaborkitError):
+    """A smallest singular value fell at or below its cutoff; both are kept."""
+
+    def __init__(self, message, sigma_min, cutoff):
+        super().__init__(f"{message} (sigma_min={sigma_min:.6e}, cutoff={cutoff:.6e})")
+        self.sigma_min = sigma_min
+        self.cutoff = cutoff
+
+
+class SingularAlgebraError(CutoffError):
     """Inversion was requested for a sequence whose convolution operator is
     numerically singular."""
 
-    def __init__(self, message, sigma_min, cutoff):
-        super().__init__(f"{message} (sigma_min={sigma_min:.6e}, cutoff={cutoff:.6e})")
-        self.sigma_min = sigma_min
-        self.cutoff = cutoff
 
-
-class NotAFrameError(GaborkitError):
+class NotAFrameError(CutoffError):
     """A dual window was requested but the system is not a frame at the
     working tolerance."""
-
-    def __init__(self, message, sigma_min, cutoff):
-        super().__init__(f"{message} (sigma_min={sigma_min:.6e}, cutoff={cutoff:.6e})")
-        self.sigma_min = sigma_min
-        self.cutoff = cutoff
 
 
 class NonCommutativeLatticeError(GaborkitError):

@@ -10,8 +10,8 @@ unimodular phase,
 
     shift(lam) o shift(mu) = exp(-2*pi*i*lam_1*mu_2/L) * shift(lam + mu),
 
-and all phase exponents here are reduced mod L in integer arithmetic so that
-group-law identities hold to the last ulp.
+and every phase is :func:`root_of_unity` of an integer exponent reduced mod
+L, so that group-law identities hold to the last ulp.
 
 A separable lattice ``a*Z_L x b*Z_L`` requires ``a | L`` and ``b | L`` (this
 guarantees a subgroup and makes the adjoint formula exact).  Its adjoint is
@@ -60,11 +60,18 @@ class FiniteModel:
         return complex(np.vdot(np.asarray(h), np.asarray(f)))
 
 
-def _check_length(L, f):
-    f = np.asarray(f)
+def _check_length(L, f, what="signal"):
+    """``f`` as a contiguous complex vector, refused unless its length is L."""
+    f = np.asarray(f, dtype=complex)
     if f.shape != (L,):
-        raise ShapeMismatchError(f"expected a length-{L} vector, got shape {f.shape}")
-    return f
+        raise ShapeMismatchError(f"expected a length-{L} {what}, got shape {f.shape}")
+    return np.ascontiguousarray(f)
+
+
+def root_of_unity(expo, L):
+    """``exp(2*pi*i*expo/L)`` from the integer exponent ``expo`` reduced mod L:
+    equal exponents mod L give bit-identical phases."""
+    return np.exp(2j * np.pi * (expo % L) / L)
 
 
 def tf_shift(model: FiniteModel, z, f):
@@ -76,9 +83,7 @@ def tf_shift(model: FiniteModel, z, f):
     L = model.L
     f = _check_length(L, f)
     x, xi = model.reduce(z)
-    t = np.arange(L)
-    phase = np.exp(2j * np.pi * ((xi * t) % L) / L)
-    return phase * np.roll(f, x)
+    return root_of_unity(xi * np.arange(L), L) * np.roll(f, x)
 
 
 def shift_matrix(model: FiniteModel, z):
@@ -87,7 +92,7 @@ def shift_matrix(model: FiniteModel, z):
     x, xi = model.reduce(z)
     t = np.arange(L)
     out = np.zeros((L, L), dtype=complex)
-    out[t, (t - x) % L] = np.exp(2j * np.pi * ((xi * t) % L) / L)
+    out[t, (t - x) % L] = root_of_unity(xi * t, L)
     return out
 
 
@@ -96,15 +101,13 @@ def compose_shifts(model: FiniteModel, lam, mu):
     ``shift(lam) o shift(mu) = phase * shift(lam + mu)`` exactly.
 
     The phase is ``exp(-2*pi*i*lam_1*mu_2/L)``, computed from the integer
-    exponent ``(-lam_1*mu_2) mod L`` so that cocycle identities
-    (associativity of total phases) are exact.
+    exponent ``-lam_1*mu_2`` so that cocycle identities (associativity of
+    total phases) are exact.
     """
     L = model.L
     l1, l2 = model.reduce(lam)
     m1, m2 = model.reduce(mu)
-    expo = (-(l1 * m2)) % L
-    phase = complex(np.exp(2j * np.pi * expo / L))
-    return phase, ((l1 + m1) % L, (l2 + m2) % L)
+    return complex(root_of_unity(-(l1 * m2), L)), ((l1 + m1) % L, (l2 + m2) % L)
 
 
 def shifts_commute(model: FiniteModel, lam, mu) -> bool:
@@ -128,8 +131,7 @@ class SeparableLattice:
     b: int
 
     def __post_init__(self):
-        if self.L < 2:
-            raise LatticeError(f"signal length must be >= 2, got {self.L}")
+        FiniteModel(self.L)  # the signal length's own check
         for name, step in (("a", self.a), ("b", self.b)):
             if not isinstance(step, (int, np.integer)) or step < 1:
                 raise LatticeError(f"lattice step {name} must be a positive integer, got {step!r}")

@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import MemoryGuardError, ShapeMismatchError
-from .lattice import SeparableLattice, TwistedSequence
+from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_unity
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
 #: complex): n*L for the analysis spectrum's atom stack, q*L for a factor.
@@ -114,13 +114,6 @@ def window_samples(g) -> np.ndarray:
     if isinstance(g, Window):
         return g.samples
     return np.asarray(g, dtype=complex)
-
-
-def _check_signal(lattice, f):
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (lattice.L,):
-        raise ShapeMismatchError(f"expected a length-{lattice.L} signal, got shape {f.shape}")
-    return f
 
 
 def _translates(g, lattice):
@@ -202,10 +195,8 @@ def _window_factor(g, lattice):
     The ``w*k0`` whole periods left over are the phase of
     :func:`_wrap_phase`, which is 1 unless p > q > 1.
     """
-    g = window_samples(g)
     L = lattice.L
-    if g.shape != (L,):
-        raise ShapeMismatchError(f"window length {g.shape} does not match L={L}")
+    g = _check_length(L, window_samples(g), "window")
     c, p, q, d = _factor_sizes(lattice)
     b, M = lattice.b, lattice.n_freq
     step = p % q
@@ -223,19 +214,25 @@ def _window_factor(g, lattice):
     return blocks, math.sqrt(M / p)
 
 
+def _to_grid(values, lattice):
+    """Block entries ``[..., nu1, k0, sigma, rho]`` to grid sequences, in
+    place: an unscaled length-d inverse FFT over ``nu1 -> k2`` and a
+    length-M FFT over ``rho + c*sigma``, to grid row ``k0 + q*k2``."""
+    np.fft.ifft(values, axis=-4, norm="forward", out=values)
+    grid = values.reshape(*values.shape[:-4], *lattice.grid_shape)
+    return np.fft.fft(grid, axis=-1, out=grid)
+
+
 def _analyze(blocks, lattice, f):
     """Coefficients of ``f`` from the window-factor blocks, shape (L/a, L/b).
 
-    The contraction is written straight into the grid's ``[nu1, k0, sigma,
-    rho]`` layout and both FFTs run in place; ``1/b`` is the Zak
-    transform's ``norm``."""
+    The contraction is written straight into the ``[nu1, k0, sigma, rho]``
+    layout of :func:`_to_grid`; ``1/b`` is the Zak transform's ``norm``."""
     d, q, c = blocks.shape[:3]
     zak = _zak(lattice, f, norm="forward")
     grid = np.empty((d, q, q, c), dtype=complex)
     np.einsum("nsrv,nsrkv->nksr", zak, blocks, out=grid)
-    np.fft.ifft(grid, axis=0, norm="forward", out=grid)
-    grid = grid.reshape(lattice.grid_shape)
-    return np.fft.fft(grid, axis=1, out=grid)
+    return _to_grid(grid, lattice)
 
 
 def _synthesize(blocks, lattice, values):
@@ -266,13 +263,6 @@ def _frame_solve(blocks, lattice, f):
     _guard_dense(lattice.L * sum(blocks.shape[-2:]), "frame blocks")
     frame_blocks = lattice.n_freq / blocks.shape[-1] * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
-
-
-def _checked_window(g, lattice):
-    g = np.ascontiguousarray(window_samples(g))
-    if g.shape != (lattice.L,):
-        raise ShapeMismatchError(f"window length {g.shape} does not match L={lattice.L}")
-    return g
 
 
 def _painless_span(g, lattice):
@@ -378,8 +368,8 @@ def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
       O(q*L) and work O(q*L*log(b) + n*log(n)), against O(L*L/a) for the
       fold itself (``L/a = q*d``).
     """
-    f = _check_signal(lattice, f)
-    g = _checked_window(g, lattice)
+    f = _check_length(lattice.L, f)
+    g = _check_length(lattice.L, window_samples(g), "window")
     span = _painless_span(g, lattice)
     if span is not None:
         return TwistedSequence(_painless_analyze(lattice, *span, f), lattice)
@@ -410,7 +400,7 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
                 f"coefficient shape {values.shape} does not match lattice grid "
                 f"{lattice.grid_shape}"
             )
-    g = _checked_window(g, lattice)
+    g = _check_length(lattice.L, window_samples(g), "window")
     span = _painless_span(g, lattice)
     if span is not None:
         return _painless_synthesize(lattice, *span, values)
@@ -420,7 +410,7 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
     """Apply S = D C without forming matrices, from one window factor; not
     through the p x p blocks of :func:`_frame_solve`, so it checks that solve."""
-    f = _check_signal(lattice, f)
+    f = _check_length(lattice.L, f)
     blocks, _ = _window_factor(g, lattice)
     return _synthesize(blocks, lattice, _analyze(blocks, lattice, f))
 
@@ -430,10 +420,7 @@ def atom_stack(g, lattice: SeparableLattice) -> np.ndarray:
     g = window_samples(g)
     L = lattice.L
     _guard_dense(lattice.cardinality * L, "atom stack")
-    t = np.arange(L)
-    phases = np.exp(
-        2j * np.pi * (((lattice.b * np.arange(lattice.n_freq))[:, None] * t[None, :]) % L) / L
-    )
+    phases = root_of_unity((lattice.b * np.arange(lattice.n_freq))[:, None] * np.arange(L), L)
     atoms = _translates(g, lattice)[:, None, :] * phases[None, :, :]
     return atoms.reshape(lattice.cardinality, L)
 
@@ -480,12 +467,12 @@ def _twisted_matrix(values, lattice: SeparableLattice) -> np.ndarray:
     :mod:`gaborkit.twisted`) on flat grid order,
     ``M[lam, mu] = exp(-2*pi*i*mu_1*(lam_2 - mu_2)/L) * values[lam - mu]``:
     the Gramian when ``values`` is the shift autocorrelation."""
-    L = lattice.L
-    kv, lv = np.divmod(np.arange(lattice.cardinality), lattice.n_freq)
+    L, n = lattice.L, lattice.cardinality
+    _guard_dense(n * n, "twisted multiplier matrix")
+    kv, lv = np.divmod(np.arange(n), lattice.n_freq)
     dk = (kv[:, None] - kv[None, :]) % lattice.n_time
     dl = (lv[:, None] - lv[None, :]) % lattice.n_freq
-    expo = (-(kv[None, :] * lattice.a) * ((dl * lattice.b) % L)) % L
-    return values[dk, dl] * np.exp(2j * np.pi * expo / L)
+    return values[dk, dl] * root_of_unity(-(kv[None, :] * lattice.a) * ((dl * lattice.b) % L), L)
 
 
 def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
@@ -505,12 +492,13 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
 
 class SystemSpectra:
     """The spectra of one window on one lattice, each decomposed on first
-    use and then kept; the matrices are not kept.
+    use and then kept; neither the matrices nor the window factor are kept.
 
     Eigenvalues (ascending) of S and G, and singular values (descending) of
-    C and D.  D's come from one batched SVD of the window-factor blocks
-    (:attr:`factor`), and S's and G's are their squares, as ``S = D D^H``
-    and ``G = D^H D``; C's come from the dense matrix.  ``table`` maps each
+    C and D.  D's come from one batched SVD of the window-factor blocks,
+    which it builds and drops, so a sweep keeps no factor for its rows, and
+    S's and G's are their squares, as ``S = D D^H`` and ``G = D^H D``; C's
+    come from the dense matrix.  ``table`` maps each
     lattice to the window's live entry there (:meth:`on`), so each spectrum
     is computed once per (window, lattice); :attr:`adjoint` is the adjoint
     lattice's entry.  The table holds its entries weakly and an entry holds those it
@@ -536,11 +524,6 @@ class SystemSpectra:
     @property
     def adjoint(self) -> "SystemSpectra":
         return self.on(self.lattice.adjoint())
-
-    @cached_property
-    def factor(self):
-        """The blocks and scale of :func:`_window_factor`; readers guard its q*L entries."""
-        return _window_factor(self.g, self.lattice)
 
     def _squared_synthesis(self, size, what):
         """:attr:`synthesis` squared, ascending, after ``size - min(L, n)`` zeros."""
@@ -569,8 +552,22 @@ class SystemSpectra:
         lattice = self.lattice
         q = _factor_sizes(lattice)[2]
         _guard_dense(q * lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
-        blocks, scale = self.factor
+        blocks, scale = _window_factor(self.g, lattice)
         return np.sort(scale * np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+
+
+def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:
+    """The caller's entry ``spectra`` for ``g`` on ``lattice``, else a new
+    one.  An entry for another lattice or other window samples is refused
+    with :class:`ShapeMismatchError`, as its spectra would answer for the
+    wrong system."""
+    if spectra is None:
+        return SystemSpectra(g, lattice)
+    if spectra.lattice != lattice:
+        raise ShapeMismatchError(f"spectra entry is for {spectra.lattice}, not {lattice}")
+    if spectra.g is not g and not np.array_equal(window_samples(spectra.g), window_samples(g)):
+        raise ShapeMismatchError("spectra entry is for another window")
+    return spectra
 
 
 def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:
@@ -578,7 +575,7 @@ def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:
     All four are the largest singular value of the synthesis blocks or its
     square, as ``C = D^H``, ``S = D D^H`` and ``G = D^H D``; no matrix is
     built, and the tests check the four against the dense matrices."""
-    spectra = spectra or SystemSpectra(g, lattice)
+    spectra = _spectra_for(g, lattice, spectra)
     norm_d = float(spectra.synthesis[0])
     acf = shift_autocorrelation(g, lattice)
     return {

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -44,8 +44,6 @@ from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 from .twisted import index_commutative, janssen_coefficients, kernel_basis
 
 SCHEMA_VERSION = "1"
-
-TASKS = ("bounds", "conditions", "duality", "janssen", "dual_window", "kernel", "index", "gallery")
 
 DEFAULT_SEED = 20200313
 
@@ -159,7 +157,7 @@ class DiagnosticsReport:
 def jsonable(obj):
     """Recursively convert report objects to JSON-encodable structures."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
+        return {item.name: jsonable(getattr(obj, item.name)) for item in fields(obj)}
     if isinstance(obj, dict):
         return {str(key): jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -294,6 +292,8 @@ _TASK_RUNNERS = {
     "gallery": _task_gallery,
 }
 
+TASKS = tuple(_TASK_RUNNERS)
+
 
 def run(config: AnalysisConfig) -> DiagnosticsReport:
     """Execute the configured tasks and assemble a report.
@@ -340,14 +340,11 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     report = DiagnosticsReport(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
+        # Every config field but the output paths.
         config={
-            "length": config.length,
-            "a": config.a,
-            "b": config.b,
-            "window": config.window,
-            "tasks": list(config.tasks),
-            "tol_scale": config.tol_scale,
-            "seed": config.seed,
+            item.name: getattr(config, item.name)
+            for item in fields(config)
+            if item.name not in ("out", "spectra")
         },
         seed=config.seed,
         results=results,

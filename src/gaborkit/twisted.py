@@ -33,12 +33,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
-from .lattice import SeparableLattice, TwistedSequence
+from .lattice import SeparableLattice, TwistedSequence, root_of_unity
 from .operators import (
-    SystemSpectra,
     _factor_sizes,
     _guard_dense,
+    _spectra_for,
+    _to_grid,
     _twisted_matrix,
+    _window_factor,
     shift_autocorrelation,
 )
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
@@ -63,10 +65,11 @@ def represent(c: TwistedSequence) -> np.ndarray:
     """The L x L operator ``pi(c) = sum_lam c_lam shift(lam)``."""
     lat = c.lattice
     L = lat.L
+    _guard_dense(L * L, "represented operator")
     t = np.arange(L)
     # Time step k fills the cyclic diagonal s = t - k*a with the sum of its
     # modulations; distinct k give distinct diagonals since a divides L.
-    phases = np.exp(2j * np.pi * (((lat.b * np.arange(lat.n_freq))[:, None] * t) % L) / L)
+    phases = root_of_unity((lat.b * np.arange(lat.n_freq))[:, None] * t, L)
     out = np.zeros((L, L), dtype=complex)
     out[t, (t - lat.a * np.arange(lat.n_time)[:, None]) % L] = c.values @ phases
     return out
@@ -81,8 +84,7 @@ def algebra_adjoint(c: TwistedSequence) -> TwistedSequence:
     k = np.arange(nt)[:, None]
     l = np.arange(nf)[None, :]
     flipped = np.conj(c.values[(-k) % nt, (-l) % nf])
-    expo = (-((k * lat.a) % L) * ((l * lat.b) % L)) % L
-    return TwistedSequence(flipped * np.exp(2j * np.pi * expo / L), lat)
+    return TwistedSequence(flipped * root_of_unity(-((k * lat.a) % L) * ((l * lat.b) % L), L), lat)
 
 
 def janssen_coefficients(g, lattice: SeparableLattice) -> TwistedSequence:
@@ -130,9 +132,9 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     singular vectors of each block past its rank, at the rank cutoff of the
     whole L x n matrix.  A null vector ``u`` of block ``(nu1, sigma, rho)``
     is the grid sequence ``u[k0]`` at ``(nu1, sigma, rho)``, mapped to the
-    grid by a length-d inverse FFT over ``nu1 -> k2`` and a length-M FFT
-    over ``rho + c*sigma``.  The blocks come from ``spectra``, the window's
-    entry on ``lattice`` (new when None), whose ``synthesis`` this SVD fills.
+    grid as the coefficient map maps its blocks (:func:`_to_grid`).  The
+    blocks' singular values fill ``synthesis`` in ``spectra``, the window's
+    entry on ``lattice`` (new when None).
 
     Raises :class:`MemoryGuardError` when the block SVD or the basis
     (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
@@ -141,8 +143,8 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     c, p, q, d = _factor_sizes(lattice)
     # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
     _guard_dense(n * q + L * min(p, q), "kernel block SVD")
-    spectra = spectra or SystemSpectra(g, lattice)
-    blocks, scale = spectra.factor
+    spectra = _spectra_for(g, lattice, spectra)
+    blocks, scale = _window_factor(g, lattice)
     # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
     u, svals, _ = np.linalg.svd(blocks, full_matrices=q > p)
     svals *= scale
@@ -155,9 +157,7 @@ def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, s
     _guard_dense(dim * max(L, n), "kernel basis")
     values = np.zeros((dim, d, q, q, c), dtype=complex)
     values[np.arange(dim), nu1, :, sigma, rho] = u[nu1, sigma, rho, :, col]
-    np.fft.ifft(values, axis=1, out=values)
-    grids = values.reshape(dim, *lattice.grid_shape)
-    np.fft.fft(grids, axis=2, out=grids)
+    grids = _to_grid(values, lattice)
     grids /= np.linalg.norm(grids, axis=(1, 2), keepdims=True)
     return [TwistedSequence(grid, lattice) for grid in grids]
 
@@ -190,6 +190,6 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    svals = (spectra or SystemSpectra(g, lattice)).synthesis
+    svals = _spectra_for(g, lattice, spectra).synthesis
     cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * svals[0]
     return int(np.count_nonzero(svals <= cutoff))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gaborkit import (
+    CutoffError,
     FiniteModel,
+    GaborkitError,
     NotAFrameError,
     SeparableLattice,
     ShapeMismatchError,
@@ -357,3 +359,37 @@ def test_diagnostics_free_their_spectra(rng, diagnostic):
     finally:
         gc.enable()
     assert not leftover
+
+
+SPECTRA_READERS = [
+    check_all_conditions, frame_bounds, duality_check, wexler_raz_dual,
+    kernel_basis, index_commutative, operator_norms,
+]
+
+
+@pytest.mark.parametrize("diagnostic", SPECTRA_READERS, ids=lambda fn: fn.__name__)
+def test_mismatched_spectra_are_refused(rng, diagnostic):
+    # (2, 6) at L = 12 is critical and its shifts commute, so a random
+    # window gives a basis and every diagnostic runs on its own entry.  An
+    # entry for another lattice or another window would answer for the
+    # wrong system.
+    g = random_unit_window(rng, 12)
+    lat = SeparableLattice(12, 2, 6)
+    diagnostic(g, lat, spectra=SystemSpectra(g, lat))
+    diagnostic(g, lat, spectra=SystemSpectra(Window.unit(g.samples.copy()), lat))
+    with pytest.raises(ShapeMismatchError, match=r"for SeparableLattice\(L=12, a=6, b=2\), not"):
+        diagnostic(g, lat, spectra=SystemSpectra(g, SeparableLattice(12, 6, 2)))
+    other = Window.unit(np.roll(g.samples, 1))
+    with pytest.raises(ShapeMismatchError, match="for another window"):
+        diagnostic(g, lat, spectra=SystemSpectra(other, lat))
+
+
+def test_cutoff_refusals_share_one_base():
+    with pytest.raises(CutoffError) as raised:
+        wexler_raz_dual(delta_window(8), SeparableLattice(8, 4, 4))
+    err = raised.value
+    assert isinstance(err, NotAFrameError) and isinstance(err, GaborkitError)
+    assert str(err) == (
+        "system is not a frame; no dual window "
+        f"(sigma_min={err.sigma_min:.6e}, cutoff={err.cutoff:.6e})"
+    )

@@ -15,18 +15,26 @@ from gaborkit import (
     NotAFrameError,
     SeparableLattice,
     SystemSpectra,
+    TwistedSequence,
     Window,
     analysis_matrix,
     coefficient_map,
+    cross_gramian,
     divisor_pairs,
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
     index_commutative,
     kernel_basis,
+    modulation_norm_proxy,
     rank_tolerance,
+    represent,
+    right_multiplier_matrix,
+    stft_grid,
     synthesis_map,
     synthesis_matrix,
+    twisted_convolve,
+    twisted_invert,
     wexler_raz_dual,
 )
 from gaborkit import diagnostics, operators, reporting
@@ -446,9 +454,12 @@ def test_synthesis_spectrum_matches_dense_on_every_divisor_lattice(L):
         for name, g in oracle_windows(rng, L).items():
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             want = np.linalg.svd(synthesis_matrix(g, lat), compute_uv=False)
-            got = SystemSpectra(g, lat).synthesis
+            spectra = SystemSpectra(g, lat)
+            got = spectra.synthesis
             assert got.shape == want.shape == (min(L, lat.cardinality),), where
             assert np.abs(got - want).max() <= 1e-13 * want[0], where
+            # C = D^H entry for entry, so the dense analysis spectrum is D's.
+            assert np.abs(spectra.analysis - got).max() <= 1e-13 * got[0], where
 
 
 def test_synthesis_blocks_memory_guard(monkeypatch):
@@ -516,6 +527,30 @@ def test_analyze_refuses_at_the_atom_stack_before_any_dense_decomposition(
     assert err.startswith("error: atom stack would need 33554432 entries")
     assert shapes["eigvalsh"] == []
     assert all(len(shape) == 5 for shape in shapes["svd"]), shapes["svd"]
+
+
+@pytest.mark.parametrize("what, entries, call", [
+    ("represented operator", 64, lambda g, f, unit: represent(unit)),
+    ("twisted multiplier matrix", 256, lambda g, f, unit: right_multiplier_matrix(unit)),
+    ("twisted multiplier matrix", 256, lambda g, f, unit: twisted_convolve(unit, unit)),
+    ("twisted multiplier matrix", 256, lambda g, f, unit: twisted_invert(unit)),
+    ("cross-Gramian", 256, lambda g, f, unit: cross_gramian(g, g, unit.lattice)),
+    ("STFT grid", 64, lambda g, f, unit: stft_grid(f, g.samples)),
+    ("STFT grid", 64, lambda g, f, unit: modulation_norm_proxy(f, 1)),
+], ids=["represent", "right_multiplier_matrix", "twisted_convolve", "twisted_invert",
+        "cross_gramian", "stft_grid", "modulation_norm_proxy"])
+def test_dense_paths_refuse_above_the_cap(monkeypatch, what, entries, call):
+    # On (8, 2, 2): the represented operator and the STFT grid hold L^2 = 64
+    # entries, and the twisted multiplier and the cross-Gramian n^2 = 256;
+    # the cross-Gramian's two atom stacks (n*L = 128) fit under either cap.
+    rng = np.random.default_rng(31)
+    g, f = random_unit_window(rng, 8), random_signal(rng, 8)
+    unit = TwistedSequence.delta(SeparableLattice(8, 2, 2))
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries)
+    call(g, f, unit)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", entries - 1)
+    with pytest.raises(MemoryGuardError, match=f"{what} would need {entries} entries"):
+        call(g, f, unit)
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))

@@ -1,9 +1,10 @@
-"""Hypothesis properties of the factorized routes: adjointness, S = D C and
-the canonical dual against the dense frame operator, and the frame, Gramian
-and synthesis spectra against the dense frame operator, Gramian and
-synthesis matrix, over random windows, signals and divisor lattices.  Half
-the windows are painless (support of at most L/b samples), so both routes
-of the maps are drawn."""
+"""Hypothesis properties of the factorized routes: adjointness, S = D C,
+the Janssen representation of S and the canonical dual against the dense
+frame operator, the frame, Gramian and synthesis spectra against the dense
+frame operator, Gramian and synthesis matrix, and the fourteen-way harness,
+over random windows, signals and divisor lattices.  Half the windows are
+painless (support of at most L/b samples), so both routes of the maps are
+drawn."""
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from gaborkit import (  # noqa: E402
     SeparableLattice,
     SystemSpectra,
     analysis_matrix,
+    check_all_conditions,
     coefficient_map,
     divisor_pairs,
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
+    janssen_coefficients,
     margin_cutoff,
     synthesis_map,
     synthesis_matrix,
@@ -114,6 +117,29 @@ def test_frame_operator_is_synthesis_after_analysis(system):
     round_trip = synthesis_map(g, lat, coefficient_map(g, lat, f))
     for got in (round_trip, frame_operator_apply(g, lat, f)):
         assert np.linalg.norm(got - want) <= RTOL * scale
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_frame_operator_is_its_janssen_representation(system):
+    # S = pi(a): the synthesis map of f on the adjoint lattice, with the
+    # Janssen coefficients as its coefficients.
+    lat, g, f, _ = system
+    coeffs = janssen_coefficients(g, lat)
+    want = frame_operator_apply(g, lat, f)
+    got = synthesis_map(f, coeffs.lattice, coeffs)
+    scale = np.linalg.norm(frame_operator_matrix(g, lat), 2) * np.linalg.norm(f)
+    assert np.linalg.norm(got - want) <= RTOL * scale
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_harness_is_consistent_or_marginal(system):
+    lat, g, _, _ = system
+    verdict = check_all_conditions(g, lat)
+    assert verdict.consistent or verdict.marginal, verdict.margins
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

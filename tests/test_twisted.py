@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaborkit import (
+    CutoffError,
     FiniteModel,
     NonCommutativeLatticeError,
     NotAFrameError,
@@ -260,6 +261,11 @@ def test_invert_singular_raises():
         twisted_invert(ones)
     assert err.value.sigma_min >= 0.0
     assert err.value.cutoff > 0.0
+    # The refusal shares its base class, fields and message form with NotAFrameError.
+    assert isinstance(err.value, CutoffError) and not isinstance(err.value, NotAFrameError)
+    assert str(err.value).endswith(
+        f"(sigma_min={err.value.sigma_min:.6e}, cutoff={err.value.cutoff:.6e})"
+    )
 
 
 def test_kernel_empty_for_frame_case():
