@@ -139,7 +139,7 @@ def main(argv=None) -> int:
             rows = sweep(config, _parse_pairs(args.pairs) if args.pairs else None)
             if not config.out:
                 print(json.dumps(jsonable(rows), indent=2, sort_keys=True), flush=True)
-            return 2 if any(not row["consistent"] and not row["marginal"] for row in rows) else 0
+            return 2 if consistency_alarm(rows) else 0
 
         report = run(config)
         if args.command == "dual":

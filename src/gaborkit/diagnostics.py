@@ -1,31 +1,31 @@
 """Frame diagnostics: bounds, the fourteen-way equivalence harness, dual
 windows, cross-Gramians, duality checks and sampled-STFT proxy norms.
 
-The harness evaluates, independently and on its own operator, the fourteen
-classical characterizations of the frame property of a system on a lattice
--- injectivity / invertibility / surjectivity statements about the analysis
-map, the frame operator, the synthesis map, and the adjoint-lattice
-analysis, synthesis and Gramian -- and reports whether all fourteen verdicts
-agree.  C is dense; D is one batched SVD of the window factor, and S and G
-are its squares.  So C (i, v) and D (vi, vii) are two routes, and so are S
-(ii-iv) and the adjoint G (xi-xiv), whose factors use different translates.
-In exact arithmetic all fourteen agree; the harness is therefore a
-machine-checkable consistency property, and any disagreement beyond the
-flagged marginal band is an alarm.
+The harness evaluates the fourteen classical characterizations of the
+frame property -- injectivity / invertibility / surjectivity statements
+about the analysis map, the frame operator, the synthesis map, and the
+adjoint-lattice analysis, synthesis and Gramian -- and reports whether all
+fourteen verdicts agree.  They collapse onto six measured margins
+(:data:`CONDITION_TABLE`).  C is dense; D is one batched SVD of the window
+factor, and S and G are its squares.  So C (i, v) and D (vi, vii) are two
+routes, and so are S (ii-iv) and the adjoint G (xi-xiv), whose factors use
+different translates.  In exact arithmetic all fourteen agree, so any
+disagreement beyond the flagged marginal band is an alarm.
 
-Tolerances: every check reduces to a dimensionless margin (sigma_min over
-sigma_max for first-order operators, its square for the PSD compositions)
-compared against one shared cutoff, so the fourteen sub-checks measure the
-same quantity and cannot disagree by threshold choice alone.  Margins within
-a factor 10 of the cutoff are flagged marginal rather than trusted.  Each
-spectrum is computed once per (window, lattice) and shared, the adjoint
-lattice's included (:class:`SystemSpectra`).
+Each verdict compares one margin, :func:`_margin` (sigma_need/sigma_max
+for first-order operators, lambda_min/lambda_max for the PSD ones), with a
+:func:`gaborkit.tolerances.margin_cutoff`, squared for the PSD ones.  The
+harness and :func:`duality_check` cut at the dims (L, n, n') of
+:func:`_harness_cutoff`, so duality is the harness's (ii) and (xi); the
+bounds' condition number and the dual's guard cut at (L, n).  Margins
+within a factor 10 of the cutoff are flagged marginal.  Every spectrum
+comes from :class:`gaborkit.operators.SystemSpectra`, once per (window,
+lattice), and the dual from :func:`gaborkit.operators._frame_inverse_apply`;
+this module never sees the window factor.
 
 In this finite model, invertibility on the heavy and light sequence spaces
 collapses to plain invertibility, and injectivity of a square system already
-implies invertibility; the distinctions the infinite-dimensional theory
-draws between these conditions are documented collapses here, not separate
-computations.
+implies invertibility: documented collapses, not separate computations.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from .gallery import periodized_gaussian
 from .lattice import SeparableLattice
 from .operators import (
     Window,
-    _frame_solve,
+    _frame_inverse_apply,
     _guard_dense,
     _spectra_for,
-    _window_factor,
     atom_stack,
     coefficient_map,
     synthesis_map,
@@ -111,9 +110,9 @@ def _margin(values, need):
     return float(max(values[need - 1], 0.0) / values[0])
 
 
-def _psd_margin(eigs):
-    """Margin lambda_min/lambda_max of an ascending PSD spectrum."""
-    return _margin(eigs[::-1], eigs.size)
+def _harness_cutoff(lattice, tol_scale):
+    """The harness's first-order cutoff, at dims (L, n, n'), ``n' = a*b``."""
+    return margin_cutoff((lattice.L, lattice.cardinality, lattice.a * lattice.b), tol_scale)
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -171,7 +170,7 @@ def check_all_conditions(
     adjoint = spectra.adjoint
     L = lattice.L
     n_adj = adjoint.lattice.cardinality
-    cut = margin_cutoff((L, lattice.cardinality, n_adj), tol_scale)
+    cut = _harness_cutoff(lattice, tol_scale)
     cut2 = cut * cut
     # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
     measured = {
@@ -243,26 +242,24 @@ def frame_bounds(
 
 
 def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
-    """The canonical dual window, the frame-operator inverse applied to the
-    window.
+    """The canonical dual window ``S^-1 g``.
 
     The dual is biorthogonal to the adjoint-lattice atoms with the covolume
     constant: ``<dual, shift(mu) g> = (a*b/L) * delta_{mu,0}`` on the
     adjoint lattice (the constant is pinned by the orthonormal-basis and
     full-lattice cases).  Raises :class:`NotAFrameError` when the frame
     spectrum fails condition (ii); else solves on the window factor's p x p
-    blocks (:func:`gaborkit.operators._frame_solve`) of its own factor.
+    blocks (:func:`gaborkit.operators._frame_inverse_apply`).
     """
-    spectra = _spectra_for(g, lattice, spectra)
-    eigs = spectra.frame
+    eigs = _spectra_for(g, lattice, spectra).frame
     cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
-    if _psd_margin(eigs) <= cut2:
+    if _margin(eigs[::-1], eigs.size) <= cut2:
         raise NotAFrameError(
             "system is not a frame; no dual window",
             sigma_min=float(eigs[0]),
             cutoff=cut2 * float(eigs[-1]),
         )
-    dual = _frame_solve(_window_factor(g, lattice)[0], lattice, window_samples(g))
+    dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
     return Window(samples=dual, label=label, original_norm=float(np.linalg.norm(dual)))
 
@@ -306,15 +303,14 @@ def cross_gramian_row_sum_gap(phi, g, lattice: SeparableLattice) -> float:
 def duality_check(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> DualityRecord:
-    """Frame verdict on the lattice against the Riesz verdict of the adjoint
-    system, with both spectra attached."""
+    """The harness's conditions (ii) and (xi) at its cutoff: the frame verdict
+    against the adjoint system's Riesz verdict, with both spectra attached."""
     spectra = _spectra_for(g, lattice, spectra)
-    adjoint = spectra.adjoint
     eig_frame = spectra.frame
-    eig_adj_gram = adjoint.gramian
-    cut2 = margin_cutoff((lattice.L, lattice.cardinality, adjoint.lattice.cardinality), tol_scale) ** 2
-    frame = _psd_margin(eig_frame) > cut2
-    riesz = _psd_margin(eig_adj_gram) > cut2
+    eig_adj_gram = spectra.adjoint.gramian
+    cut2 = _harness_cutoff(lattice, tol_scale) ** 2
+    frame = _margin(eig_frame[::-1], eig_frame.size) > cut2
+    riesz = _margin(eig_adj_gram[::-1], eig_adj_gram.size) > cut2
     return DualityRecord(
         frame=frame,
         adjoint_riesz=riesz,
@@ -343,6 +339,8 @@ def modulation_norm_proxy(f, p) -> float:
     information beyond the plain norm.
     """
     f = np.asarray(f, dtype=complex)
+    if f.ndim != 1:
+        raise ShapeMismatchError(f"signal must be a vector, got shape {f.shape}")
     phi = periodized_gaussian(f.shape[0])
     grid = np.abs(stft_grid(f, phi))
     if p == 1:

@@ -1,49 +1,42 @@
-"""The four canonical operators of a Gabor system on a separable lattice.
+"""The four canonical operators of a Gabor system on a separable lattice,
+and the window factor that every fast route reads.
 
 For a window ``g`` and lattice ``Lam`` the system's atoms are the shifted
-windows ``shift(lam) g, lam in Lam``.  The toolkit provides
-
-* the coefficient (analysis) map  ``C f = (<f, shift(lam) g>)_lam``,
-* the synthesis map               ``D c = sum_lam c_lam shift(lam) g``,
-* the frame operator              ``S = D C``  (L x L, Hermitian PSD),
-* the Gramian                     ``G = C D``  (n x n, Hermitian PSD),
-
-both as explicit matrices for spectral diagnostics and as matrix-free
-applications for long signals.  ``D`` is the conjugate transpose of ``C``
-entrywise, so the adjointness ``<C f, c> = <f, D c>`` holds exactly.
+windows ``shift(lam) g, lam in Lam``: the coefficient (analysis) map
+``C f = (<f, shift(lam) g>)_lam``, the synthesis map ``D c = sum_lam c_lam
+shift(lam) g``, the frame operator ``S = D C`` (L x L) and the Gramian
+``G = C D`` (n x n), both Hermitian PSD.  ``D`` is the conjugate transpose
+of ``C`` entrywise, so ``<C f, c> = <f, D c>`` holds exactly.  The dense
+builders, refused beyond a hard entry budget, are the reference the fast
+routes are tested against (``notes/decisions.md``).
 
 The matrix-free maps have two routes, chosen by the window's exact zeros
 alone.  A painless window (Daubechies-Grossmann-Meyer), whose nonzeros lie
 in one circular interval of at most ``M = L/b`` samples, meets each
 frequency period once, so every coefficient is one product and each time
-row one length-M FFT: ``n`` products and O(n*log(M)) work in one grid
-(:func:`_painless_analyze`, :func:`_painless_synthesize`).  Counting the
-nonzeros refuses most other windows before any span search.
-
-Every other window goes through the Zak domain (Zibulski-Zeevi; LTFAT's
-``comp_wfac``).  With ``M = L/b`` and ``N = L/a`` the block sizes are
+row one length-M FFT (:func:`_painless_analyze`).  Every other window goes
+through the Zak domain (Zibulski-Zeevi; LTFAT's ``comp_wfac``).  With
+``M = L/b`` and ``N = L/a`` the block sizes are
 
     c = gcd(a, M),   p = a/c,   q = M/c,   d = N/q = b/p,
 
-and ``t = rho + c*sigma + M*m`` splits the time axis.  :func:`_zak` (a
-length-b FFT over ``m``) and :func:`_unzak` are the Zak transform and its
-inverse.  The window factor, ``c*q*d`` blocks of q x p (``q*L`` entries),
-holds the conjugated Zak transforms of the first q window translates;
-:func:`_window_factor` reads them all from one Zak table of the window by
-the shift identity, with no translate gathered.  The maps on this route
-are the factor times the Zak transform of the signal plus FFTs of length d
-and M, run in place on one grid-sized array, with the scalings folded into
-the FFTs' ``norm``.  :func:`frame_operator_apply` takes this route for
-every window, so it is the cross-route check of the painless maps.  S acts
-on the Zak transform as the p x p blocks ``(M/p) W^H W``, so the canonical
-dual is one batched solve of them (:func:`_frame_solve`).
-The synthesis spectrum is one batched SVD of the blocks, and the frame
-operator and Gramian spectra are its squares, as ``S = D D^H`` and
-``G = D^H D`` (:class:`SystemSpectra`).  The analysis spectrum stays dense,
-so the harness compares two routes: dense C against the blocks' D, and a
-lattice's blocks against those of its adjoint, built from other translates.
-The dense builders, refused beyond a hard entry budget, are the reference
-the factorized routes are tested against (``notes/decisions.md``).
+and ``t = rho + c*sigma + M*m`` splits the time axis.  The window factor,
+``c*q*d`` blocks of q x p in the layout ``(d, q, c, q, p)``, holds the
+conjugated Zak transforms (:func:`_zak`) of the first q window translates;
+:func:`_window_factor` reads them all from one Zak table of the window.
+
+This module is the one owner of that layout.  The maps run the factor on
+the Zak transform of the signal, as :func:`frame_operator_apply` does for
+every window, which makes it the check of the painless maps.
+:func:`_frame_inverse_apply` solves the p x p blocks ``(M/p) W^H W`` for
+``S^-1 f``, and ``S^-1 g`` is the canonical dual.  One batched SVD of the
+blocks is the synthesis spectrum, whose squares are the frame and Gramian
+spectra, as ``S = D D^H`` and ``G = D^H D`` (:class:`SystemSpectra`; only
+this module writes to an entry).  :func:`_synthesis_kernel` keeps the
+SVD's left null vectors past each block's rank (:func:`_synthesis_rank`)
+for the kernel basis.  The analysis spectrum stays dense, so the harness
+compares dense C against the blocks' D, and a lattice's blocks against
+those of its adjoint, built from other translates.
 """
 
 from __future__ import annotations
@@ -55,8 +48,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import MemoryGuardError, ShapeMismatchError
+from .errors import GaborkitError, MemoryGuardError, ShapeMismatchError
 from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_unity
+from .tolerances import rank_tolerance
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
 #: complex): n*L for the analysis spectrum's atom stack, q*L for a factor.
@@ -117,8 +111,10 @@ def window_samples(g) -> np.ndarray:
 
 
 def _translates(g, lattice):
-    """Stack of circular translates g((t - k*a) mod L), shape (n_time, L)."""
+    """Stack of circular translates g((t - k*a) mod L), shape (n_time, L),
+    of a window refused unless its length is L."""
     L, a = lattice.L, lattice.a
+    g = _check_length(L, window_samples(g), "window")
     t = np.arange(L)
     idx = (t[None, :] - a * np.arange(lattice.n_time)[:, None]) % L
     return g[idx]
@@ -130,6 +126,15 @@ def _guard_dense(entries, what):
             f"{what} would need {entries} entries (cap {MAX_DENSE_ENTRIES}); "
             "use the matrix-free maps instead"
         )
+
+
+def _svd(matrix, what, **kwargs):
+    """``np.linalg.svd(matrix)``; a failure to converge, as on non-finite
+    entries, is a :class:`GaborkitError` naming ``what``."""
+    try:
+        return np.linalg.svd(matrix, **kwargs)
+    except np.linalg.LinAlgError as err:
+        raise GaborkitError(f"{what}: {err}; are its entries finite?") from None
 
 
 def _factor_sizes(lattice):
@@ -256,13 +261,51 @@ def _synthesize(blocks, lattice, values):
     return np.conj(signal, out=signal).reshape(*lead, lattice.L)
 
 
-def _frame_solve(blocks, lattice, f):
-    """``S^-1 f`` from the window-factor blocks: one batched solve of the
-    p x p blocks ``(M/p) W^H W`` on the Zak transform of ``f``; the blocks
-    and the factor, ``(p + q)*L`` entries, are charged to the cap."""
-    _guard_dense(lattice.L * sum(blocks.shape[-2:]), "frame blocks")
-    frame_blocks = lattice.n_freq / blocks.shape[-1] * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
+def _frame_inverse_apply(g, lattice, f):
+    """``S^-1 f``, the inverse of :func:`frame_operator_apply`: one batched
+    solve of the window factor's p x p blocks ``(M/p) W^H W`` on the Zak
+    transform of ``f``, charging them and the factor, ``(p + q)*L``, to the cap."""
+    _, p, q, _ = _factor_sizes(lattice)
+    _guard_dense(lattice.L * (p + q), "frame blocks")
+    blocks, _ = _window_factor(g, lattice)
+    frame_blocks = lattice.n_freq / p * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
+
+
+def _synthesis_rank(svals, lattice, tol_scale):
+    """How many of ``svals`` (along the last axis) clear the rank cutoff of
+    the L x n synthesis matrix on ``lattice``."""
+    cutoff = rank_tolerance((lattice.L, lattice.cardinality), svals.max(), tol_scale)
+    return np.count_nonzero(svals > cutoff, axis=-1)
+
+
+def _synthesis_kernel(g, lattice, tol_scale, spectra):
+    """Orthonormal null vectors of the synthesis map on ``lattice``, shape
+    (dim, L/a, L/b).  Up to unitary FFTs D is the block diagonal of the
+    blocks' conjugate transposes, so its nullspace is the sum of their left
+    nullspaces: the left singular vectors of block ``(nu1, sigma, rho)`` past
+    its rank, each the sequence ``u[k0]`` there, placed on the grid as
+    :func:`_analyze` places its blocks.  The blocks' singular values fill
+    ``synthesis`` in ``spectra`` (new when None)."""
+    L, n = lattice.L, lattice.cardinality
+    c, p, q, d = _factor_sizes(lattice)
+    # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
+    _guard_dense(n * q + L * min(p, q), "kernel block SVD")
+    spectra = _spectra_for(g, lattice, spectra)
+    blocks, scale = _window_factor(g, lattice)
+    # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
+    u, svals, _ = _svd(blocks, "kernel block SVD", full_matrices=q > p)
+    svals *= scale
+    # cached_property keeps a computed spectrum in the instance dict.
+    vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
+    rank = _synthesis_rank(svals, lattice, tol_scale)
+    nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
+    dim = nu1.size
+    _guard_dense(dim * max(L, n), "kernel basis")
+    values = np.zeros((dim, d, q, q, c), dtype=complex)
+    values[np.arange(dim), nu1, :, sigma, rho] = u[nu1, sigma, rho, :, col]
+    grids = _to_grid(values, lattice)
+    return np.divide(grids, np.linalg.norm(grids, axis=(1, 2), keepdims=True), out=grids)
 
 
 def _painless_span(g, lattice):
@@ -409,7 +452,8 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
 
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
     """Apply S = D C without forming matrices, from one window factor; not
-    through the p x p blocks of :func:`_frame_solve`, so it checks that solve."""
+    through the p x p blocks of :func:`_frame_inverse_apply`, so it checks
+    that solve."""
     f = _check_length(lattice.L, f)
     blocks, _ = _window_factor(g, lattice)
     return _synthesize(blocks, lattice, _analyze(blocks, lattice, f))
@@ -417,7 +461,6 @@ def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
 
 def atom_stack(g, lattice: SeparableLattice) -> np.ndarray:
     """All atoms ``shift(lam) g`` as rows, flat grid order, shape (n, L)."""
-    g = window_samples(g)
     L = lattice.L
     _guard_dense(lattice.cardinality * L, "atom stack")
     phases = root_of_unity((lattice.b * np.arange(lattice.n_freq))[:, None] * np.arange(L), L)
@@ -446,7 +489,6 @@ def frame_operator_matrix(g, lattice: SeparableLattice) -> np.ndarray:
     which is independent of the D @ C product path and is used to
     cross-check it.
     """
-    g = window_samples(g)
     L = lattice.L
     _guard_dense(L * L, "frame operator matrix")
     tr = _translates(g, lattice)
@@ -458,7 +500,7 @@ def frame_operator_matrix(g, lattice: SeparableLattice) -> np.ndarray:
 
 def shift_autocorrelation(g, lattice: SeparableLattice) -> TwistedSequence:
     """The window's shift autocorrelation ``a[lam] = <g, shift(lam) g>``."""
-    g = window_samples(g)
+    g = _check_length(lattice.L, window_samples(g), "window")
     return coefficient_map(g, lattice, g)
 
 
@@ -492,18 +534,15 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
 
 class SystemSpectra:
     """The spectra of one window on one lattice, each decomposed on first
-    use and then kept; neither the matrices nor the window factor are kept.
-
-    Eigenvalues (ascending) of S and G, and singular values (descending) of
-    C and D.  D's come from one batched SVD of the window-factor blocks,
-    which it builds and drops, so a sweep keeps no factor for its rows, and
-    S's and G's are their squares, as ``S = D D^H`` and ``G = D^H D``; C's
-    come from the dense matrix.  ``table`` maps each
-    lattice to the window's live entry there (:meth:`on`), so each spectrum
-    is computed once per (window, lattice); :attr:`adjoint` is the adjoint
-    lattice's entry.  The table holds its entries weakly and an entry holds those it
-    made, so no entry is in a reference cycle: reference counting frees an
-    entry, with every entry it made, as soon as its caller drops it."""
+    use and then kept: eigenvalues (ascending) of S and G, singular values
+    (descending) of C, from the dense matrix, and of D, from one batched SVD
+    of the window factor, which is built and dropped; S's and G's are D's
+    squared.  ``table`` maps each lattice to the window's live entry there
+    (:meth:`on`), so each spectrum is computed once per (window, lattice);
+    :attr:`adjoint` is the adjoint lattice's entry.  The table holds its
+    entries weakly and an entry holds those it made, so no entry is in a
+    reference cycle: reference counting frees an entry, with every entry it
+    made, as soon as its caller drops it."""
 
     def __init__(self, g, lattice: SeparableLattice, *, table=None):
         self.g = g
@@ -544,7 +583,7 @@ class SystemSpectra:
 
     @cached_property
     def analysis(self) -> np.ndarray:
-        return np.linalg.svd(analysis_matrix(self.g, self.lattice), compute_uv=False)
+        return _svd(analysis_matrix(self.g, self.lattice), "analysis matrix", compute_uv=False)
 
     @cached_property
     def synthesis(self) -> np.ndarray:
@@ -553,7 +592,7 @@ class SystemSpectra:
         q = _factor_sizes(lattice)[2]
         _guard_dense(q * lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
         blocks, scale = _window_factor(self.g, lattice)
-        return np.sort(scale * np.linalg.svd(blocks, compute_uv=False), axis=None)[::-1]
+        return np.sort(scale * _svd(blocks, "synthesis blocks", compute_uv=False), axis=None)[::-1]
 
 
 def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:

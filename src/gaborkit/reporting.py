@@ -23,6 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .diagnostics import (
+    _harness_cutoff,
     check_all_conditions,
     duality_check,
     frame_bounds,
@@ -40,7 +41,8 @@ from .gallery import (
 )
 from .lattice import FiniteModel, SeparableLattice
 from .operators import SystemSpectra, Window, frame_operator_apply, operator_norms, synthesis_map
-from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
+from .operators import _synthesis_rank
+from .tolerances import DEFAULT_TOL_SCALE
 from .twisted import index_commutative, janssen_coefficients, kernel_basis
 
 SCHEMA_VERSION = "1"
@@ -239,12 +241,11 @@ def _task_kernel(g, lattice, config, rng, spectra):
 
 def _task_index(g, lattice, config, rng, spectra):
     adjoint = spectra.adjoint.lattice
-    svals = spectra.adjoint.synthesis
     # The kernel dimension at the rank rule kernel_basis applies.
-    cutoff = rank_tolerance((lattice.L, adjoint.cardinality), svals[0], config.tol_scale)
+    rank = _synthesis_rank(spectra.adjoint.synthesis, adjoint, config.tol_scale)
     entry = {
         "commutative": adjoint.has_commuting_shifts,
-        "kernel_dimension_surrogate": adjoint.cardinality - int(np.sum(svals > cutoff)),
+        "kernel_dimension_surrogate": adjoint.cardinality - int(rank),
     }
     if adjoint.has_commuting_shifts:
         entry["index"] = index_commutative(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
@@ -306,9 +307,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     g = config.build_window()
     spectra = SystemSpectra(g, lattice)
     rng = np.random.default_rng(config.seed)
-    first_order_cut = margin_cutoff(
-        (lattice.L, lattice.cardinality, lattice.adjoint().cardinality), config.tol_scale
-    )
+    first_order_cut = _harness_cutoff(lattice, config.tol_scale)
     results = {
         "window_label": g.label,
         "lattice": {
@@ -376,14 +375,14 @@ def divisor_pairs(length: int):
 
 
 def sweep(base: AnalysisConfig, pairs=None):
-    """Run frame bounds, the fourteen-way harness and the duality check over
-    a grid of lattice steps.
+    """Frame bounds and the fourteen-way harness over a grid of lattice steps.
 
-    Returns one row per (a, b), in grid order, with redundancy, frame
-    bounds, the frame and duality verdicts, and the harness's
-    ``consistent`` and ``marginal`` flags.  The window is
-    built once, and row (a, b) reuses the spectra of row (L/b, L/a), its
-    adjoint; writes CSV to ``base.out`` when set.
+    Returns one row per (a, b), in grid order: redundancy, frame bounds,
+    the frame verdict (i), the adjoint's Riesz verdict (xi), whether (ii)
+    and (xi) agree (as :func:`duality_check` decides them), and the
+    harness's ``consistent`` and ``marginal`` flags.  The window is built
+    once, and row (a, b) reuses the spectra of row (L/b, L/a), its adjoint;
+    writes CSV to ``base.out`` when set.
     """
     base.validate()
     if pairs is None:
@@ -401,7 +400,6 @@ def sweep(base: AnalysisConfig, pairs=None):
         spectra = root.on(lattice)
         bounds = frame_bounds(g, lattice, base.tol_scale, spectra=spectra)
         verdict = check_all_conditions(g, lattice, base.tol_scale, spectra=spectra)
-        record = duality_check(g, lattice, base.tol_scale, spectra=spectra)
         rows.append(
             {
                 "a": a,
@@ -410,8 +408,8 @@ def sweep(base: AnalysisConfig, pairs=None):
                 "frame_lower": bounds.frame_lower,
                 "frame_upper": bounds.frame_upper,
                 "frame": verdict.frame,
-                "adjoint_riesz": record.adjoint_riesz,
-                "duality_agree": record.agree,
+                "adjoint_riesz": verdict.conditions["xi"],
+                "duality_agree": verdict.conditions["ii"] == verdict.conditions["xi"],
                 "consistent": verdict.consistent,
                 "marginal": verdict.marginal,
             }
@@ -435,13 +433,14 @@ def sweep(base: AnalysisConfig, pairs=None):
     return rows
 
 
-def consistency_alarm(report: DiagnosticsReport) -> bool:
-    """True when a conditions task reported a non-marginal inconsistency
-    (the exit-code-2 alarm)."""
-    verdict = report.results.get("conditions")
-    if verdict is None:
-        return False
-    return (not verdict.consistent) and (not verdict.marginal)
+def consistency_alarm(result) -> bool:
+    """True when a harness verdict is inconsistent beyond the marginal band
+    (the exit-code-2 alarm): a report's conditions task, or any row of
+    :func:`sweep`."""
+    if isinstance(result, DiagnosticsReport):
+        verdict = result.results.get("conditions")
+        result = [] if verdict is None else [vars(verdict)]
+    return any(not row["consistent"] and not row["marginal"] for row in result)
 
 
 __all__ = [

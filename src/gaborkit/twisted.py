@@ -13,19 +13,15 @@ The representation is faithful on any separable lattice (distinct shifts are
 orthogonal in the trace inner product), so one-sided inverses are two-sided;
 ``twisted_invert`` solves the n x n right-multiplication system and the
 inverse of an invertible frame operator is again a shift series over the
-same lattice.
+same lattice.  Sequences are :class:`gaborkit.lattice.TwistedSequence`
+grids, the type the coefficient map returns and the synthesis map accepts.
 
-Sequences are :class:`gaborkit.lattice.TwistedSequence` grids, the same
-type the coefficient map returns and the synthesis map accepts.
-
-Kernel machinery: ``kernel_basis`` returns an orthonormal basis of the
-nullspace of the synthesis map on a lattice (the kernel is a module under
-the # product), and ``index_commutative`` counts the pure-frequency
-sequences inside that kernel when all lattice shifts commute -- zero exactly
-when the dual-side system is a frame.  Both read the window-factor blocks:
-the kernel is the sum of the blocks' left nullspaces, and on a commuting
-lattice every block is a single row holding one character, so the index is
-a count of the synthesis singular values.
+``kernel_basis`` is an orthonormal basis of the nullspace of the synthesis
+map (a module under #), and ``index_commutative`` counts the characters in
+it on a commuting lattice -- zero exactly when the dual-side system is a
+frame.  Both read what :mod:`gaborkit.operators` computes from the window
+factor, the null vectors and the synthesis spectrum; this module never
+sees the factor.
 """
 
 from __future__ import annotations
@@ -35,12 +31,11 @@ import numpy as np
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
 from .lattice import SeparableLattice, TwistedSequence, root_of_unity
 from .operators import (
-    _factor_sizes,
     _guard_dense,
     _spectra_for,
-    _to_grid,
+    _svd,
+    _synthesis_kernel,
     _twisted_matrix,
-    _window_factor,
     shift_autocorrelation,
 )
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
@@ -109,7 +104,7 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
     attainable by any double-precision representation of the inverse.
     """
     R = right_multiplier_matrix(a)
-    svals = np.linalg.svd(R, compute_uv=False)
+    svals = _svd(R, "twisted multiplier matrix", compute_uv=False)
     cutoff = rank_tolerance(R.shape, svals[0], tol_scale)
     if svals[-1] <= cutoff:
         raise SingularAlgebraError(
@@ -122,43 +117,15 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
 
 def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
-    ``lattice``, with the standard rank tolerance.  Empty when the synthesis
-    map is injective.
-
-    Up to unitary FFTs, the synthesis map is the block diagonal of the
-    conjugate transposes of the window-factor blocks ``W`` (q x p, one per
-    ``(nu1, sigma, rho)``; see :func:`gaborkit.operators._window_factor`), so
-    its nullspace is the sum of the blocks' left nullspaces: the left
-    singular vectors of each block past its rank, at the rank cutoff of the
-    whole L x n matrix.  A null vector ``u`` of block ``(nu1, sigma, rho)``
-    is the grid sequence ``u[k0]`` at ``(nu1, sigma, rho)``, mapped to the
-    grid as the coefficient map maps its blocks (:func:`_to_grid`).  The
-    blocks' singular values fill ``synthesis`` in ``spectra``, the window's
-    entry on ``lattice`` (new when None).
+    ``lattice`` at the standard rank tolerance, empty when the map is
+    injective: the window-factor blocks' left null vectors
+    (:func:`gaborkit.operators._synthesis_kernel`), which also fill
+    ``synthesis`` in ``spectra``, the window's entry on ``lattice``.
 
     Raises :class:`MemoryGuardError` when the block SVD or the basis
     (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
     """
-    L, n = lattice.L, lattice.cardinality
-    c, p, q, d = _factor_sizes(lattice)
-    # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
-    _guard_dense(n * q + L * min(p, q), "kernel block SVD")
-    spectra = _spectra_for(g, lattice, spectra)
-    blocks, scale = _window_factor(g, lattice)
-    # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
-    u, svals, _ = np.linalg.svd(blocks, full_matrices=q > p)
-    svals *= scale
-    # cached_property keeps a computed spectrum in the instance dict.
-    vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
-    cutoff = rank_tolerance((L, n), svals.max(), tol_scale)
-    rank = np.count_nonzero(svals > cutoff, axis=-1)
-    nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
-    dim = nu1.size
-    _guard_dense(dim * max(L, n), "kernel basis")
-    values = np.zeros((dim, d, q, q, c), dtype=complex)
-    values[np.arange(dim), nu1, :, sigma, rho] = u[nu1, sigma, rho, :, col]
-    grids = _to_grid(values, lattice)
-    grids /= np.linalg.norm(grids, axis=(1, 2), keepdims=True)
+    grids = _synthesis_kernel(g, lattice, tol_scale, spectra)
     return [TwistedSequence(grid, lattice) for grid in grids]
 
 
@@ -170,16 +137,12 @@ def index_commutative(
 
     On a commuting lattice the kernel of the synthesis map is invariant
     under grid translations, so it is spanned by the characters it contains;
-    counting those characters gives the kernel's module index.  The count is
-    zero exactly when the dual-side system is a frame.
-
-    ``L | a*b`` makes ``M = L/b`` divide ``a``, so the window factor has
-    ``c = M`` and ``q = 1``: each of its n blocks is 1 x p and carries
-    exactly one character, whose residual ``|D chi| / |chi|`` is the
-    block's one singular value.  The index is therefore the number of
-    synthesis singular values at or below ``margin_cutoff((L, n))`` times
-    the largest, read from ``spectra``, the window's entry on ``lattice`` (a
-    new one when None); no L x n matrix is built.
+    counting those characters gives the kernel's module index, zero exactly
+    when the dual-side system is a frame.  Each character's residual
+    ``|D chi| / |chi|`` is one synthesis singular value (``notes/decisions.md``),
+    so the index is the number of values in ``spectra``, the window's entry
+    on ``lattice`` (new when None), at or below ``margin_cutoff((L, n))``
+    times the largest; no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
     nontrivial (for separable lattices: when L does not divide a*b).

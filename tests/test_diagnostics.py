@@ -14,6 +14,7 @@ from gaborkit import (
     SeparableLattice,
     ShapeMismatchError,
     SystemSpectra,
+    TwistedSequence,
     Window,
     WindowRecipe,
     check_all_conditions,
@@ -31,6 +32,7 @@ from gaborkit import (
     periodized_gaussian,
     reconstruction_residual,
     synthesis_map,
+    twisted_invert,
     wexler_raz_dual,
     wexler_raz_residual,
 )
@@ -393,3 +395,26 @@ def test_cutoff_refusals_share_one_base():
         "system is not a frame; no dual window "
         f"(sigma_min={err.sigma_min:.6e}, cutoff={err.cutoff:.6e})"
     )
+
+
+def test_modulation_proxy_refuses_a_scalar_signal():
+    with pytest.raises(ShapeMismatchError, match="signal must be a vector"):
+        modulation_norm_proxy(5.0, 1)
+
+
+NAN_LATTICE = SeparableLattice(12, 2, 3)
+NON_FINITE_CALLS = {
+    "frame_bounds": lambda nan: frame_bounds(nan, NAN_LATTICE),
+    "kernel_basis": lambda nan: kernel_basis(nan, NAN_LATTICE),
+    "wexler_raz_dual": lambda nan: wexler_raz_dual(nan, NAN_LATTICE),
+    "twisted_invert": lambda nan: twisted_invert(
+        TwistedSequence(np.full(NAN_LATTICE.grid_shape, nan[0]), NAN_LATTICE)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CALLS)
+def test_non_finite_input_is_a_toolkit_error(name):
+    # Each ended in numpy's "SVD did not converge" LinAlgError.
+    with pytest.raises(GaborkitError, match="did not converge; are its entries finite"):
+        NON_FINITE_CALLS[name](np.full(12, np.nan, dtype=complex))

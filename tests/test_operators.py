@@ -10,7 +10,10 @@ from gaborkit import (
     ShapeMismatchError,
     Window,
     analysis_matrix,
+    atom_stack,
+    check_all_conditions,
     coefficient_map,
+    cross_gramian,
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
@@ -288,3 +291,23 @@ def test_shape_errors(rng):
     c = coefficient_map(g, other, random_signal(rng, 8))
     with pytest.raises(ShapeMismatchError):
         synthesis_map(g, lat, c)
+
+
+DENSE_BUILDERS = {
+    "atom_stack": atom_stack,
+    "analysis_matrix": analysis_matrix,
+    "synthesis_matrix": synthesis_matrix,
+    "frame_operator_matrix": frame_operator_matrix,
+    "gramian_matrix": gramian_matrix,
+    "cross_gramian_phi": lambda g, lat: cross_gramian(g, np.ones(lat.L), lat),
+    "cross_gramian_g": lambda g, lat: cross_gramian(np.ones(lat.L), g, lat),
+    "check_all_conditions": check_all_conditions,
+}
+
+
+@pytest.mark.parametrize("length", [10, 14], ids=["short", "long"])
+@pytest.mark.parametrize("name", DENSE_BUILDERS)
+def test_dense_builders_refuse_a_window_of_the_wrong_length(name, length):
+    # A long window was truncated and a short one ended in an IndexError.
+    with pytest.raises(ShapeMismatchError, match=rf"length-12 window, got shape \({length},\)"):
+        DENSE_BUILDERS[name](np.arange(1, length + 1), SeparableLattice(12, 2, 3))

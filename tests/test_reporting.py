@@ -3,6 +3,7 @@ report determinism."""
 
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from gaborkit import (
     NotAFrameError,
     Window,
     divisor_pairs,
+    duality_check,
+    kernel_basis,
     load_window,
     margin_cutoff,
     periodized_gaussian,
     run,
     save_window,
     sweep,
+    wexler_raz_dual,
 )
 from gaborkit.reporting import TASKS, consistency_alarm, jsonable
 from conftest import factor_block_shape, random_signal
@@ -331,3 +335,47 @@ def test_consistency_alarm_logic():
     assert consistency_alarm(report)
     report.results["conditions"].marginal = True
     assert not consistency_alarm(report)
+
+
+def identity_windows(L):
+    """Gaussian, delta, random and a box: the widest proper divisor of L,
+    or all of Z_L when L is prime."""
+    width = max(k for k in range(1, L) if L % k == 0)
+    return ("gaussian", "delta", "random", f"bspline:1:{width if width > 1 else L}")
+
+
+@pytest.mark.parametrize("L", range(2, 49))
+def test_verdict_rules_agree_on_every_divisor_lattice(L):
+    # Duality cuts at the harness's dims (L, n, n'), the bounds and the
+    # dual's guard at (L, n) and the kernel rank at (L, n'); the frame
+    # verdicts still agree, as lambda_min(S) is exactly 0 when n < L.
+    tasks = ("bounds", "conditions", "duality", "index")
+    for window in identity_windows(L):
+        for a, b in divisor_pairs(L):
+            config = AnalysisConfig(length=L, a=a, b=b, window=window, tasks=tasks)
+            results = run(config).results
+            g, lattice = config.build_window(), config.lattice()
+            where = f"{window} on {(L, a, b)}"
+            conditions = results["conditions"].conditions
+            duality = results["duality"]
+            assert (duality.frame, duality.adjoint_riesz) == (conditions["ii"], conditions["xi"]), where
+            assert math.isfinite(results["bounds"].condition_number) == conditions["ii"], where
+            try:
+                wexler_raz_dual(g, lattice)
+            except NotAFrameError:
+                assert not conditions["ii"], where
+            else:
+                assert conditions["ii"], where
+            surrogate = results["index"]["kernel_dimension_surrogate"]
+            assert surrogate == len(kernel_basis(g, lattice.adjoint())), where
+
+
+@pytest.mark.parametrize("L", range(2, 49))
+def test_sweep_rows_read_duality_from_the_harness(L):
+    for window in identity_windows(L):
+        base = AnalysisConfig(length=L, a=1, b=1, window=window)
+        g = base.build_window()
+        for row in sweep(base):
+            record = duality_check(g, SeparableLattice(L, row["a"], row["b"]))
+            where = f"{window} on {(L, row['a'], row['b'])}"
+            assert (row["adjoint_riesz"], row["duality_agree"]) == (record.adjoint_riesz, record.agree), where
