@@ -221,8 +221,7 @@ def partition_of_unity_kernel(g, pou_period: int, phases: int, time_step: int = 
         raise LatticeError(
             f"phase count {phases} does not divide the partition period {pou_period}"
         )
-    if time_step < 1 or L % time_step != 0:
-        raise LatticeError(f"time step {time_step} does not divide L={L}")
+    lattice = SeparableLattice(L, time_step, (L * phases) // pou_period)
 
     mean, deviation = partition_of_unity_deviation(samples, pou_period)
     scale = float(np.max(np.abs(samples))) * (L // pou_period)
@@ -236,8 +235,6 @@ def partition_of_unity_kernel(g, pou_period: int, phases: int, time_step: int = 
             f"max deviation {deviation:.3e} against constant {abs(mean):.3e}"
         )
 
-    freq_step = (L * phases) // pou_period
-    lattice = SeparableLattice(L, time_step, freq_step)
     adjoint = lattice.adjoint()
     values = np.zeros(adjoint.grid_shape, dtype=complex)
     ks = np.arange(adjoint.n_time)

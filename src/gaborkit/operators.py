@@ -23,7 +23,11 @@ through the Zak domain (Zibulski-Zeevi; LTFAT's ``comp_wfac``).  With
 and ``t = rho + c*sigma + M*m`` splits the time axis.  The window factor,
 ``c*q*d`` blocks of q x p in the layout ``(d, q, c, q, p)``, holds the
 conjugated Zak transforms (:func:`_zak`) of the first q window translates;
-:func:`_window_factor` reads them all from one Zak table of the window.
+:func:`_window_factor` reads them all from one Zak table of the window and
+returns them as a strided view of it, ``(T + 1)*L`` entries with
+``T <= q - 1`` and ``T = 1`` when ``p = 1 < q``, so no map holds the q*L
+entries of the blocks themselves.  Beside their grids, the painless maps
+hold O(L) entries.
 
 This module is the one owner of that layout.  The maps run the factor on
 the Zak transform of the signal, as :func:`frame_operator_apply` does for
@@ -53,7 +57,10 @@ from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_u
 from .tolerances import rank_tolerance
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
-#: complex): n*L for the analysis spectrum's atom stack, q*L for a factor.
+#: complex): n*L for the analysis spectrum's atom stack.  The spectra, the
+#: kernel and the dual still charge q*L for a window factor, although it is
+#: a view of a Zak table of at most q*L entries: their batched block
+#: decompositions run over all q*L entries (``notes/decisions.md``).
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -196,9 +203,11 @@ def _window_factor(g, lattice):
     FFT of length b over ``T + 1`` consecutive periods of g,
     ``T = ceil(p'*(q-1)/q)``, is a table of the Zak transform at every
     ``sigma - p'*k0``, at most q*L entries; row ``k0`` of every block is a
-    fixed stride into it, so the blocks are one conjugating strided copy.
-    The ``w*k0`` whole periods left over are the phase of
-    :func:`_wrap_phase`, which is 1 unless p > q > 1.
+    fixed stride into it, so the blocks are a strided view of the table,
+    conjugated in place.  The view is read-only, as the rows of different
+    ``k0`` share entries.  The ``w*k0`` whole periods left over are the
+    phase of :func:`_wrap_phase`, which is 1 unless p > q > 1; only there
+    are the blocks a q*L copy.
     """
     L = lattice.L
     g = _check_length(L, window_samples(g), "window")
@@ -210,13 +219,14 @@ def _window_factor(g, lattice):
     # FFT over m is the Zak transform at sigma + q*(i - T).
     periods = np.concatenate((g[L - extra * M:], g))
     table = np.fft.fft(_view(periods, 0, (b, extra + 1, M), (M, M, 1)), axis=0)
+    np.conj(table, out=table)
     width = (extra + 1) * M
-    blocks = np.empty((d, q, c, q, p), dtype=complex)
-    view = blocks.transpose(4, 0, 1, 2, 3)  # [nu2, nu1, sigma, rho, k0]
-    np.conj(_view(table, extra * M, (p, d, q, c, q), (d * width, width, c, 1, -step * c)), out=view)
+    # [nu2, nu1, sigma, rho, k0]
+    view = _view(table, extra * M, (p, d, q, c, q), (d * width, width, c, 1, -step * c))
     if p > q > 1:
-        view *= _wrap_phase(b, p, q)
-    return blocks, math.sqrt(M / p)
+        view = view * _wrap_phase(b, p, q)
+    view.flags.writeable = False  # rows of different k0 share entries of the table
+    return view.transpose(1, 2, 3, 4, 0), math.sqrt(M / p)
 
 
 def _to_grid(values, lattice):
@@ -371,17 +381,19 @@ def _painless_analyze(lattice, s0, window, f):
 
 def _painless_synthesize(lattice, s0, window, values):
     """The exact adjoint of :func:`_painless_analyze`, shape (..., L/a, L/b)
-    -> (..., L): one length-M inverse FFT of the values (``norm`` "forward"
-    is the factor M), the same slabs times the window, added into zeroed
-    periods, and the periods past the b-th folded back."""
+    -> (..., L): per slab, a length-M inverse FFT of its values (``norm``
+    "forward" is the factor M) times the window, added into zeroed periods;
+    then the periods past the b-th folded back.  One slab of working memory,
+    not one grid."""
     first, count, slabs = _painless_layout(lattice, s0)
     b, M = lattice.b, lattice.n_freq
     lead = values.shape[:-2]
     q = len(slabs)
-    rows = np.fft.ifft(values, axis=-1, norm="forward").reshape(*lead, lattice.n_time // q, q, M)
+    grid = values.reshape(*lead, lattice.n_time // q, q, M)
     periods = np.zeros((*lead, count, M), dtype=complex)
     for i, e, before, after in slabs:
-        head, tail = rows[..., i, :e], rows[..., i, e:]
+        rows = np.fft.ifft(grid[..., i, :], axis=-1, norm="forward")
+        head, tail = rows[..., :e], rows[..., e:]
         head *= window[M - e :]
         tail *= window[: M - e]
         periods[..., before, :e] += head
@@ -403,13 +415,15 @@ def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
     * painless: the nonzeros of ``g`` lie in one circular interval of at
       most ``M = L/b`` samples.  Then each ``F[k, r]`` has one term, and
       the map is ``n`` products and ``L/a`` FFTs of length M: work
-      O(n*log(M)), memory one grid (:func:`_painless_analyze`).
+      O(n*log(M)), memory one grid and O(L) (:func:`_painless_analyze`).
     * Zak: otherwise.  Splitting ``r = rho + c*sigma`` and
       ``k = k0 + q*k2`` turns the fold over ``m`` into the Zak transform
       of ``f`` times the window factor, summed over the ``p`` aliases
       ``nu1 + d*nu2`` and inverted by a length-d FFT over ``k2``.  Memory
-      O(q*L) and work O(q*L*log(b) + n*log(n)), against O(L*L/a) for the
-      fold itself (``L/a = q*d``).
+      one grid and the factor's Zak table, ``(T + 1)*L`` entries
+      (:func:`_window_factor`; 2*L when ``p = 1 < q``), and work
+      O(q*L*log(b) + n*log(n)), against O(L*L/a) for the fold itself
+      (``L/a = q*d``).
     """
     f = _check_length(lattice.L, f)
     g = _check_length(lattice.L, window_samples(g), "window")
@@ -428,8 +442,10 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     through the window factor: per time row an inverse length-M FFT, a
     length-d FFT over ``k2``, the conjugated factor summed over ``k0``, and
     an inverse Zak transform.  Each costs what its :func:`coefficient_map`
-    costs.  A stack of coefficient grids, shape (..., L/a, L/b), gives one
-    signal per grid from one window; a :class:`TwistedSequence` must lie on
+    costs; the painless route runs its inverse FFTs one slab of L/p
+    entries at a time, so beside the grids it is given it holds O(L).  A
+    stack of coefficient grids, shape (..., L/a, L/b), gives one signal per
+    grid from one window; a :class:`TwistedSequence` must lie on
     ``lattice``.
     """
     if isinstance(coeffs, TwistedSequence):

@@ -111,7 +111,16 @@ def test_window_factor_matches_the_translate_form(lattices):
         blocks, scale = _window_factor(g, lat)
         want = translate_window_factor(lat.L, lat.a, lat.b, g)
         where = f"(L, a, b) = {(lat.L, lat.a, lat.b)}"
-        assert blocks.shape == want.shape and blocks.flags.c_contiguous, where
+        assert blocks.shape == want.shape, where
+        _, p, q, _ = _factor_sizes(lat)
+        if not p > q > 1:  # there the wrap phase multiplies a copy
+            # A view of one Zak table of (T + 1)*L entries, T = ceil(p'(q - 1)/q).
+            table = blocks
+            while isinstance(table.base, np.ndarray):
+                table = table.base
+            extra = -(-(p % q) * (q - 1) // q)
+            assert np.shares_memory(blocks, table), where
+            assert table.size <= (extra + 1) * lat.L, where
         assert np.abs(blocks - want).max() <= 1e-12 * np.abs(want).max(), where
         assert scale == math.sqrt(lat.n_freq / _factor_sizes(lat)[1]), where
 
@@ -157,10 +166,11 @@ def test_round_trip_memory_is_linear_in_L():
 
 
 def test_round_trip_holds_few_full_size_arrays():
-    # One coefficient grid is n = 262144 entries, 4 MiB, and so is the window
-    # factor (q*L, p = 1).  Synthesis holds the grid it was given, the factor,
-    # its own working grid and an L-size Zak table; a conjugated copy of the
-    # factor or an out-of-place FFT would add a fourth, 16 MiB.
+    # One coefficient grid is n = 262144 entries, 4 MiB.  The window factor
+    # (q = 16, p = 1) is a view of a Zak table of 2*L entries, an eighth of a
+    # grid.  Synthesis holds the grid it was given, its own working grid, the
+    # table and an L-size Zak array; a q*L copy of the factor (a grid) or an
+    # out-of-place FFT would add a third.
     L = 16384
     lat = SeparableLattice(L, 16, 64)
     rng = np.random.default_rng(7)
@@ -173,21 +183,43 @@ def test_round_trip_holds_few_full_size_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
+    assert peak < 2.6 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
+
+
+def test_window_factor_holds_its_zak_table_alone():
+    # q = 16 and p = 1: the blocks are q*L = 16*L entries, but the factor is
+    # a view of a 2*L table, made from L + M periods of the window.
+    L = 16384
+    lat = SeparableLattice(L, 16, 64)
+    assert _factor_sizes(lat)[1:3] == (1, 16)
+    g = random_signal(np.random.default_rng(7), L)
+    tracemalloc.start()
+    try:
+        blocks, _ = _window_factor(g, lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks.size == 16 * L
+    assert peak < 4 * 16 * L, f"factor peak {peak / (16 * L):.2f} L entries"
 
 
 def test_synthesis_map_takes_a_stack_of_grids():
+    # On both routes: a random window takes the Zak route, and a span of M,
+    # wrapping across 0, the painless route with its FFT one slab at a time.
     rng = np.random.default_rng(5)
     for L, a, b in ((24, 4, 6), (24, 8, 2), (36, 3, 12)):
         lat = SeparableLattice(L, a, b)
-        g = random_signal(rng, L)
-        stack = random_signal(rng, 3 * 2 * lat.cardinality).reshape(3, 2, *lat.grid_shape)
-        got = synthesis_map(g, lat, stack)
-        assert got.shape == (3, 2, L)
-        assert synthesis_map(g, lat, stack[:0]).shape == (0, 2, L)  # an empty kernel basis
-        for index in np.ndindex(3, 2):
-            want = synthesis_map(g, lat, stack[index])
-            assert np.linalg.norm(got[index] - want) <= 1e-14 * np.linalg.norm(want)
+        windows = {"zak": random_signal(rng, L), "painless": span_window(rng, L, L - 1, lat.n_freq)}
+        for route, g in windows.items():
+            where = f"{route} on (L, a, b) = {(L, a, b)}"
+            assert (_painless_span(g, lat) is not None) == (route == "painless"), where
+            stack = random_signal(rng, 3 * 2 * lat.cardinality).reshape(3, 2, *lat.grid_shape)
+            got = synthesis_map(g, lat, stack)
+            assert got.shape == (3, 2, L), where
+            assert synthesis_map(g, lat, stack[:0]).shape == (0, 2, L), where  # an empty kernel basis
+            for index in np.ndindex(3, 2):
+                want = synthesis_map(g, lat, stack[index])
+                assert np.linalg.norm(got[index] - want) <= 1e-14 * np.linalg.norm(want), where
 
 
 def span_window(rng, L, start, span, hole=None):
@@ -302,8 +334,9 @@ def test_painless_round_trip_builds_no_factor(monkeypatch, L, a, b, window):
 
 def test_painless_round_trip_holds_few_full_size_arrays():
     # One coefficient grid is n = 262144 entries, 4 MiB.  The painless round
-    # trip holds the grid it was given and one working grid, with L-size
-    # periods of the signal; the Zak route adds a q*L factor (12.4 MiB).
+    # trip holds the grid it was given, one slab of L/p entries at a time for
+    # synthesis and L-size periods of the signal; an FFT of the whole grid
+    # would add a second grid.
     L = 16384
     lat = SeparableLattice(L, 16, 64)
     g = reporting.AnalysisConfig(length=L, a=16, b=64, window="bspline:3:64").build_window()
@@ -315,7 +348,7 @@ def test_painless_round_trip_holds_few_full_size_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
+    assert peak < 1.5 * grid_bytes, f"round-trip peak {peak / 2**20:.1f} MiB"
 
 
 def oracle_windows(rng, L):

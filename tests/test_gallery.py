@@ -233,6 +233,11 @@ def test_pou_kernel_validation_errors():
         partition_of_unity_kernel(g, pou_period=5, phases=2)  # 5 does not divide 16
     with pytest.raises(LatticeError):
         partition_of_unity_kernel(g, pou_period=4, phases=1)
+    for step in (0, 3, 2.0):  # not positive, not a divisor of 16, not an integer
+        with pytest.raises(LatticeError, match="lattice step a"):
+            partition_of_unity_kernel(g, pou_period=4, phases=2, time_step=step)
+    with pytest.raises(LatticeError):  # the step is refused before the window is read
+        partition_of_unity_kernel(gauss, pou_period=4, phases=2, time_step=3)
 
 
 def test_gallery_frame_region_gaussian_redundancy_two_plus():
