@@ -12,13 +12,12 @@ routes, and so are S (ii-iv) and the adjoint G (xi-xiv), whose factors use
 different translates.  In exact arithmetic all fourteen agree, so any
 disagreement beyond the flagged marginal band is an alarm.
 
-Each verdict compares one margin, :func:`_margin` (sigma_need/sigma_max
-for first-order operators, lambda_min/lambda_max for the PSD ones), with a
-:func:`gaborkit.tolerances.margin_cutoff`, squared for the PSD ones.  The
-harness and :func:`duality_check` cut at the dims (L, n, n') of
-:func:`_harness_cutoff`, so duality is the harness's (ii) and (xi); the
-bounds' condition number and the dual's guard cut at (L, n).  Margins
-within a factor 10 of the cutoff are flagged marginal.  Every spectrum
+Each verdict counts the values of a spectrum above the lattice's one
+cutoff (:mod:`gaborkit.tolerances`), squared for the PSD operators, and
+holds when all that must clear it do; :func:`_psd_holds` is (ii) and (xi)
+for :func:`duality_check`, the dual's refusal and the finite condition
+number.  A margin, sigma_need/sigma_max or lambda_min/lambda_max over
+the cutoff, within a factor 10 of 1 is flagged marginal.  Every spectrum
 comes from :class:`gaborkit.operators.SystemSpectra`, once per (window,
 lattice), and the dual from :func:`gaborkit.operators._frame_inverse_apply`;
 this module never sees the window factor.
@@ -47,7 +46,7 @@ from .operators import (
     synthesis_map,
     window_samples,
 )
-from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, margin_cutoff
+from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _rank
 
 
 @dataclass
@@ -102,17 +101,10 @@ class DualityRecord:
     adjoint_gramian_spectrum: np.ndarray = field(repr=False)
 
 
-def _margin(values, need):
-    """The ``need``-th value of a descending spectrum over its largest,
-    clipped at zero: sigma_need/sigma_max, or lambda_min/lambda_max."""
-    if values.size < need or values[0] <= 0.0:
-        return 0.0
-    return float(max(values[need - 1], 0.0) / values[0])
-
-
-def _harness_cutoff(lattice, tol_scale):
-    """The harness's first-order cutoff, at dims (L, n, n'), ``n' = a*b``."""
-    return margin_cutoff((lattice.L, lattice.cardinality, lattice.a * lattice.b), tol_scale)
+def _psd_holds(eigs, lattice, tol_scale):
+    """Whether all of the PSD spectrum ``eigs`` clears the squared lattice
+    cutoff, as the harness counts: (ii) for S, (xi) for the adjoint G."""
+    return bool(_rank(eigs, _lattice_cutoff(lattice, tol_scale) ** 2) == eigs.size)
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -170,8 +162,8 @@ def check_all_conditions(
     adjoint = spectra.adjoint
     L = lattice.L
     n_adj = adjoint.lattice.cardinality
-    cut = _harness_cutoff(lattice, tol_scale)
-    cut2 = cut * cut
+    cut = _lattice_cutoff(lattice, tol_scale)
+    cut2 = cut**2
     # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
     measured = {
         "analysis": (spectra.analysis, L, cut),
@@ -181,19 +173,21 @@ def check_all_conditions(
         "adjoint_synthesis": (adjoint.synthesis, n_adj, cut),
         "adjoint_gramian": (adjoint.gramian[::-1], n_adj, cut2),
     }
+    # operator -> how many of the values that must clear the cutoff do not
+    missing = {op: need - _rank(values, c) for op, (values, need, c) in measured.items()}
     conditions, residuals, margins = {}, {}, {}
     for key, (operator, kind) in CONDITION_TABLE.items():
         values, need, cutoff = measured[operator]
-        m = _margin(values, need)
-        conditions[key] = m > cutoff
+        conditions[key] = bool(missing[operator] == 0)
         deciding = float(values[need - 1]) if values.size >= need else 0.0
         residuals[key] = {
             "value": deciding,
             "root": float(np.sqrt(max(deciding, 0.0))),
-            "deficiency": float(need - np.count_nonzero(values > cutoff * values[0])),
+            "deficiency": float(missing[operator]),
         }[kind]
-        # Normalized decision margin: >1 means the condition held, <1 failed.
-        margins[key] = m / cutoff
+        # The deciding value over the largest, clipped at zero, over the
+        # cutoff: >1 means the condition held, <1 failed.
+        margins[key] = max(deciding, 0.0) / float(values[0]) / cutoff if values[0] > 0 else 0.0
 
     marginal_conditions = tuple(
         key for key in CONDITION_KEYS
@@ -219,24 +213,18 @@ def frame_bounds(
     squared singular values of the window-factor blocks."""
     spectra = _spectra_for(g, lattice, spectra)
     eig_frame = spectra.frame
-    cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
-
-    lower = float(eig_frame[0])
-    upper = float(eig_frame[-1])
-    nonzero = eig_frame[eig_frame > cut2 * upper]
-    if nonzero.size:
-        riesz_lower_sq = float(nonzero[0])
-        riesz_upper_sq = float(nonzero[-1])
-    else:
-        riesz_lower_sq = riesz_upper_sq = 0.0
-    condition = upper / lower if lower > cut2 * upper else float("inf")
+    lower, upper = float(eig_frame[0]), float(eig_frame[-1])
+    cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
+    nonzero = eig_frame[eig_frame.size - _rank(eig_frame, cut2) :]
+    riesz_sq = (float(nonzero[0]), float(nonzero[-1])) if nonzero.size else (0.0, 0.0)
+    condition = upper / lower if _psd_holds(eig_frame, lattice, tol_scale) else float("inf")
     return BoundsReport(
         frame_lower=lower,
         frame_upper=upper,
-        riesz_lower=float(np.sqrt(riesz_lower_sq)),
-        riesz_upper=float(np.sqrt(riesz_upper_sq)),
-        riesz_lower_sq=riesz_lower_sq,
-        riesz_upper_sq=riesz_upper_sq,
+        riesz_lower=float(np.sqrt(riesz_sq[0])),
+        riesz_upper=float(np.sqrt(riesz_sq[1])),
+        riesz_lower_sq=riesz_sq[0],
+        riesz_upper_sq=riesz_sq[1],
         condition_number=condition,
     )
 
@@ -252,12 +240,11 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     blocks (:func:`gaborkit.operators._frame_inverse_apply`).
     """
     eigs = _spectra_for(g, lattice, spectra).frame
-    cut2 = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) ** 2
-    if _margin(eigs[::-1], eigs.size) <= cut2:
+    if not _psd_holds(eigs, lattice, tol_scale):
         raise NotAFrameError(
             "system is not a frame; no dual window",
             sigma_min=float(eigs[0]),
-            cutoff=cut2 * float(eigs[-1]),
+            cutoff=_lattice_cutoff(lattice, tol_scale) ** 2 * float(eigs[-1]),
         )
     dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
@@ -308,9 +295,8 @@ def duality_check(
     spectra = _spectra_for(g, lattice, spectra)
     eig_frame = spectra.frame
     eig_adj_gram = spectra.adjoint.gramian
-    cut2 = _harness_cutoff(lattice, tol_scale) ** 2
-    frame = _margin(eig_frame[::-1], eig_frame.size) > cut2
-    riesz = _margin(eig_adj_gram[::-1], eig_adj_gram.size) > cut2
+    frame = _psd_holds(eig_frame, lattice, tol_scale)
+    riesz = _psd_holds(eig_adj_gram, lattice, tol_scale)
     return DualityRecord(
         frame=frame,
         adjoint_riesz=riesz,

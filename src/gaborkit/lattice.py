@@ -68,6 +68,17 @@ def _check_length(L, f, what="signal"):
     return np.ascontiguousarray(f)
 
 
+def _step_fault(L, a, b):
+    """``(name, why)`` for the first of ``a``, ``b`` that cannot step a
+    lattice on Z_L; None when both can."""
+    for name, step in (("a", a), ("b", b)):
+        if not isinstance(step, (int, np.integer)) or step < 1:
+            return name, f"must be a positive integer, got {step!r}"
+        if L % step != 0:
+            return name, f"{step} does not divide L={L}"
+    return None
+
+
 def root_of_unity(expo, L):
     """``exp(2*pi*i*expo/L)`` from the integer exponent ``expo`` reduced mod L:
     equal exponents mod L give bit-identical phases."""
@@ -132,11 +143,9 @@ class SeparableLattice:
 
     def __post_init__(self):
         FiniteModel(self.L)  # the signal length's own check
-        for name, step in (("a", self.a), ("b", self.b)):
-            if not isinstance(step, (int, np.integer)) or step < 1:
-                raise LatticeError(f"lattice step {name} must be a positive integer, got {step!r}")
-            if self.L % step != 0:
-                raise LatticeError(f"lattice step {name}={step} does not divide L={self.L}")
+        fault = _step_fault(self.L, self.a, self.b)
+        if fault:
+            raise LatticeError("lattice step %s: %s" % fault)
 
     @property
     def n_time(self) -> int:

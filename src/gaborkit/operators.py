@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import GaborkitError, MemoryGuardError, ShapeMismatchError
 from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_unity
-from .tolerances import rank_tolerance
+from .tolerances import _lattice_cutoff, _rank
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
 #: complex): n*L for the analysis spectrum's atom stack.  The spectra, the
@@ -283,10 +283,9 @@ def _frame_inverse_apply(g, lattice, f):
 
 
 def _synthesis_rank(svals, lattice, tol_scale):
-    """How many of ``svals`` (along the last axis) clear the rank cutoff of
-    the L x n synthesis matrix on ``lattice``."""
-    cutoff = rank_tolerance((lattice.L, lattice.cardinality), svals.max(), tol_scale)
-    return np.count_nonzero(svals > cutoff, axis=-1)
+    """How many of ``svals`` (along the last axis) clear the lattice cutoff
+    times the largest of them all: the rank of D, or of each block."""
+    return _rank(svals, _lattice_cutoff(lattice, tol_scale), axis=-1)
 
 
 def _synthesis_kernel(g, lattice, tol_scale, spectra):
@@ -340,69 +339,62 @@ def _painless_span(g, lattice):
 
 
 def _painless_layout(lattice, s0):
-    """Where the painless maps read the signal's periods ``f(P*M + r)``,
+    """Where the painless maps meet the signal's periods ``f(P*M + r)``,
     ``r < M``, for a window supported in ``[s0, s0 + M)``.
 
     Row ``k = k2*q + i`` of the grid starts at ``k*a + s0 =
-    (k2*p + B_i)*M + e_i``, as ``q*a = p*M``, so for ``r < e_i`` it reads
+    (k2*p + B_i)*M + e_i``, as ``q*a = p*M``, so for ``r < e_i`` it meets
     period ``k2*p + B_i + 1`` and for ``r >= e_i`` period ``k2*p + B_i``,
-    each against ``window[(r - e_i) mod M]``.  Returns ``first = s0 // M``,
-    the number of periods read from there on (mod b, at least b), and per
-    ``i < q`` the tuple ``(i, e_i, rows before e_i, rows from e_i)``, the
-    rows as strided slices of those periods."""
+    mod b, each against ``window[(r - e_i) mod M]``.  As ``p*d = b``, the d
+    rows of a part meet periods ``start + p*k2`` mod b in two strided runs.
+    Yields ``(i, parts)``, each part ``(columns, window columns, runs)`` and
+    each run ``(rows, periods)``."""
     _, p, q, d = _factor_sizes(lattice)
-    M, first = lattice.n_freq, s0 // lattice.n_freq
-    slabs = []
+    M = lattice.n_freq
     for i in range(q):
         B, e = divmod(s0 + i * lattice.a, M)
-        row = B - first
-        stop = row + 1 + (d - 1) * p
-        slabs.append((i, e, slice(row + 1, stop + 1, p), slice(row, stop, p)))
-    return first, max(lattice.b, slabs[-1][2].stop), slabs
+        head, tail = slice(e), slice(e, M)  # the columns r < e_i and r >= e_i
+        parts = []
+        for cols, wcols, at in ((head, slice(M - e, M), B + 1), (tail, slice(M - e), B)):
+            at %= lattice.b
+            split = d - at // p  # the rows before the run wraps past period b
+            runs = (slice(split), slice(at, None, p)), (slice(split, d), slice(at % p, at, p))
+            parts.append((cols, wcols, runs))
+        yield i, parts
 
 
 def _painless_analyze(lattice, s0, window, f):
     """:func:`_analyze` for a window whose support lies in ``[s0, s0 + M)``,
-    with ``window = g[s0 : s0 + M]``: each coefficient is one product, two
-    strided ones per slab of :func:`_painless_layout`, then one in-place
+    with ``window = g[s0 : s0 + M]``: each coefficient is one product, a
+    strided one per run of :func:`_painless_layout`, then one in-place
     length-M FFT per row."""
-    first, count, slabs = _painless_layout(lattice, s0)
-    b, M = lattice.b, lattice.n_freq
-    periods = f.reshape(b, M)[(first + np.arange(count)) % b]
+    _, _, q, d = _factor_sizes(lattice)
+    periods = f.reshape(lattice.b, lattice.n_freq)
     conj_window = np.conj(window)
-    q = len(slabs)
-    grid = np.empty((lattice.n_time // q, q, M), dtype=complex)  # [k2, i, r]
-    for i, e, before, after in slabs:
-        np.multiply(periods[before, :e], conj_window[M - e :], out=grid[:, i, :e])
-        np.multiply(periods[after, e:], conj_window[: M - e], out=grid[:, i, e:])
+    grid = np.empty((d, q, lattice.n_freq), dtype=complex)  # [k2, i, r]
+    for i, parts in _painless_layout(lattice, s0):
+        for cols, wcols, runs in parts:
+            for rows, run in runs:
+                np.multiply(periods[run, cols], conj_window[wcols], out=grid[rows, i, cols])
     grid = grid.reshape(lattice.grid_shape)
     return np.fft.fft(grid, axis=1, out=grid)
 
 
 def _painless_synthesize(lattice, s0, window, values):
     """The exact adjoint of :func:`_painless_analyze`, shape (..., L/a, L/b)
-    -> (..., L): per slab, a length-M inverse FFT of its values (``norm``
-    "forward" is the factor M) times the window, added into zeroed periods;
-    then the periods past the b-th folded back.  One slab of working memory,
-    not one grid."""
-    first, count, slabs = _painless_layout(lattice, s0)
-    b, M = lattice.b, lattice.n_freq
+    -> (..., L): per slab, a length-M inverse FFT (``norm`` "forward" is the
+    factor M) times the window, added run by run into the output."""
+    _, _, q, d = _factor_sizes(lattice)
     lead = values.shape[:-2]
-    q = len(slabs)
-    grid = values.reshape(*lead, lattice.n_time // q, q, M)
-    periods = np.zeros((*lead, count, M), dtype=complex)
-    for i, e, before, after in slabs:
-        rows = np.fft.ifft(grid[..., i, :], axis=-1, norm="forward")
-        head, tail = rows[..., :e], rows[..., e:]
-        head *= window[M - e :]
-        tail *= window[: M - e]
-        periods[..., before, :e] += head
-        periods[..., after, e:] += tail
-    signal = periods[..., :b, :]
-    for start in range(b, count, b):  # count <= b + 2: one pass unless b = 1
-        wrapped = periods[..., start : start + b, :]
-        signal[..., : wrapped.shape[-2], :] += wrapped
-    return np.roll(signal, first, axis=-2).reshape(*lead, lattice.L)
+    grid = values.reshape(*lead, d, q, lattice.n_freq)
+    signal = np.zeros((*lead, lattice.b, lattice.n_freq), dtype=complex)
+    for i, parts in _painless_layout(lattice, s0):
+        slab = np.fft.ifft(grid[..., i, :], axis=-1, norm="forward")
+        for cols, wcols, runs in parts:
+            slab[..., cols] *= window[wcols]
+            for rows, run in runs:
+                signal[..., run, cols] += slab[..., rows, cols]
+    return signal.reshape(*lead, lattice.L)
 
 
 def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:

@@ -17,13 +17,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .diagnostics import (
-    _harness_cutoff,
     check_all_conditions,
     duality_check,
     frame_bounds,
@@ -39,10 +38,10 @@ from .gallery import (
     partition_of_unity_kernel,
     random_window,
 )
-from .lattice import FiniteModel, SeparableLattice
+from .lattice import FiniteModel, SeparableLattice, _step_fault
 from .operators import SystemSpectra, Window, frame_operator_apply, operator_norms, synthesis_map
 from .operators import _synthesis_rank
-from .tolerances import DEFAULT_TOL_SCALE
+from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff
 from .twisted import index_commutative, janssen_coefficients, kernel_basis
 
 SCHEMA_VERSION = "1"
@@ -110,11 +109,7 @@ class AnalysisConfig:
     def validate(self) -> None:
         if not isinstance(self.length, (int, np.integer)) or self.length < 2:
             raise ConfigError("length", f"must be an integer >= 2, got {self.length!r}")
-        for name, step in (("a", self.a), ("b", self.b)):
-            if not isinstance(step, (int, np.integer)) or step < 1:
-                raise ConfigError(name, f"must be a positive integer, got {step!r}")
-            if self.length % step != 0:
-                raise ConfigError(name, f"{step} does not divide length {self.length}")
+        self._check_steps(self.a, self.b)
         if not self.tasks:
             raise ConfigError("tasks", "at least one task is required")
         for task in self.tasks:
@@ -126,6 +121,12 @@ class AnalysisConfig:
             raise ConfigError("window", "a window recipe or file path is required")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
+
+    def _check_steps(self, a, b) -> None:
+        """Refuse lattice steps ``a``, ``b`` with a ConfigError on the step."""
+        fault = _step_fault(self.length, a, b)
+        if fault:
+            raise ConfigError(*fault)
 
     def lattice(self) -> SeparableLattice:
         return SeparableLattice(self.length, self.a, self.b)
@@ -240,20 +241,16 @@ def _task_kernel(g, lattice, config, rng, spectra):
 
 
 def _task_index(g, lattice, config, rng, spectra):
-    adjoint = spectra.adjoint.lattice
-    # The kernel dimension at the rank rule kernel_basis applies.
-    rank = _synthesis_rank(spectra.adjoint.synthesis, adjoint, config.tol_scale)
-    entry = {
-        "commutative": adjoint.has_commuting_shifts,
-        "kernel_dimension_surrogate": adjoint.cardinality - int(rank),
+    adjoint, commutative = spectra.adjoint, spectra.adjoint.lattice.has_commuting_shifts
+    # The kernel dimension by the rank kernel_basis counts; on a commuting
+    # adjoint it is the index, else an upper-bound surrogate of it.
+    rank = _synthesis_rank(adjoint.synthesis, adjoint.lattice, config.tol_scale)
+    return {
+        "commutative": commutative,
+        "kernel_dimension_surrogate": adjoint.lattice.cardinality - int(rank),
+        "index": index_commutative(g, adjoint.lattice, config.tol_scale, spectra=adjoint)
+        if commutative else None,
     }
-    if adjoint.has_commuting_shifts:
-        entry["index"] = index_commutative(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
-    else:
-        # Non-commutative adjoint: the exact module index is not computed;
-        # the kernel dimension above is an upper-bound surrogate.
-        entry["index"] = None
-    return entry
 
 
 def _task_gallery(g, lattice, config, rng, spectra):
@@ -307,7 +304,7 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
     g = config.build_window()
     spectra = SystemSpectra(g, lattice)
     rng = np.random.default_rng(config.seed)
-    first_order_cut = _harness_cutoff(lattice, config.tol_scale)
+    first_order_cut = _lattice_cutoff(lattice, config.tol_scale)
     results = {
         "window_label": g.label,
         "lattice": {
@@ -388,7 +385,7 @@ def sweep(base: AnalysisConfig, pairs=None):
     if pairs is None:
         pairs = divisor_pairs(base.length)
     for a, b in pairs:
-        replace(base, a=a, b=b).validate()
+        base._check_steps(a, b)
 
     g = base.build_window()
     rows = []

@@ -35,10 +35,11 @@ from .operators import (
     _spectra_for,
     _svd,
     _synthesis_kernel,
+    _synthesis_rank,
     _twisted_matrix,
     shift_autocorrelation,
 )
-from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
+from .tolerances import DEFAULT_TOL_SCALE, rank_tolerance
 
 
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
@@ -117,10 +118,14 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
 
 def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
-    ``lattice`` at the standard rank tolerance, empty when the map is
-    injective: the window-factor blocks' left null vectors
+    ``lattice`` at the lattice cutoff, empty when the map is injective: the
+    window-factor blocks' left null vectors past the rank of
+    :func:`gaborkit.operators._synthesis_rank`
     (:func:`gaborkit.operators._synthesis_kernel`), which also fill
-    ``synthesis`` in ``spectra``, the window's entry on ``lattice``.
+    ``synthesis`` in ``spectra``, the window's entry on ``lattice``.  A
+    witness ``|D x|`` can reach the cutoff times sigma_max (5.4e-6 for the
+    Gaussian at L = 24 on (1, 24)); the basis is empty exactly when the
+    harness on the adjoint lattice finds (viii).
 
     Raises :class:`MemoryGuardError` when the block SVD or the basis
     (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
@@ -140,9 +145,9 @@ def index_commutative(
     counting those characters gives the kernel's module index, zero exactly
     when the dual-side system is a frame.  Each character's residual
     ``|D chi| / |chi|`` is one synthesis singular value (``notes/decisions.md``),
-    so the index is the number of values in ``spectra``, the window's entry
-    on ``lattice`` (new when None), at or below ``margin_cutoff((L, n))``
-    times the largest; no L x n matrix is built.
+    so the index is n minus their rank in ``spectra``, the window's entry on
+    ``lattice`` (new when None), by :func:`gaborkit.operators._synthesis_rank`:
+    ``len(kernel_basis(...))`` exactly, and no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
     nontrivial (for separable lattices: when L does not divide a*b).
@@ -154,5 +159,4 @@ def index_commutative(
             "commutative case"
         )
     svals = _spectra_for(g, lattice, spectra).synthesis
-    cutoff = margin_cutoff((lattice.L, lattice.cardinality), tol_scale) * svals[0]
-    return int(np.count_nonzero(svals <= cutoff))
+    return lattice.cardinality - int(_synthesis_rank(svals, lattice, tol_scale))

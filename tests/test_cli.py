@@ -140,6 +140,15 @@ def test_kernel_command(capsys):
     assert payload["results"]["index"]["index"] >= 1
 
 
+def test_kernel_command_dimension_is_the_index(capsys):
+    # The Gaussian's kernel on the self-adjoint (1, 24) counts at the
+    # index's cutoff: its witnesses reach cutoff * sigma_max, not eps.
+    assert main(["kernel", "-L", "24", "--lattice", "1,24"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["kernel"]["dimension"] == results["index"]["index"] == 5
+    assert results["index"]["kernel_dimension_surrogate"] == 5
+
+
 # Adjoint lattice: the lattice itself, commuting, non-commuting.
 @pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
 def test_kernel_command_one_svd(linalg_calls, capsys, length, lattice):

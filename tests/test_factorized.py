@@ -18,6 +18,7 @@ from gaborkit import (
     TwistedSequence,
     Window,
     analysis_matrix,
+    check_all_conditions,
     coefficient_map,
     cross_gramian,
     divisor_pairs,
@@ -27,7 +28,7 @@ from gaborkit import (
     index_commutative,
     kernel_basis,
     modulation_norm_proxy,
-    rank_tolerance,
+    periodized_gaussian,
     represent,
     right_multiplier_matrix,
     stft_grid,
@@ -53,6 +54,11 @@ from conftest import dense_gramian_spectrum, random_signal, random_unit_window
 from oracles import naive_character_residuals, translate_window_factor
 
 MAX_ORACLE_LENGTH = 48
+
+
+def lattice_cutoff(lat):
+    """The harness's first-order cutoff, at the dims (L, n, n')."""
+    return margin_cutoff((lat.L, lat.cardinality, lat.adjoint().cardinality))
 
 
 def divisor_lattices(L):
@@ -367,7 +373,7 @@ def test_kernel_basis_matches_dense_on_every_divisor_lattice(L):
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             D = synthesis_matrix(g, lat)
             _, svals, vh = np.linalg.svd(D, full_matrices=False)
-            rank = int(np.sum(svals > rank_tolerance((L, n), svals[0])))
+            rank = int(np.sum(svals > lattice_cutoff(lat) * svals[0]))
             basis = np.array([seq.flat for seq in kernel_basis(g, lat)]).reshape(-1, n)
             assert basis.shape[0] == n - rank, where
             if not basis.shape[0]:
@@ -395,8 +401,31 @@ def test_character_residuals_and_index_match_the_loop(L):
             # singular value, so the residuals are the synthesis spectrum.
             got = SystemSpectra(g, lat).synthesis
             assert np.abs(got - np.sort(want, axis=None)[::-1]).max() <= 1e-13 * sigma_max, where
-            cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
+            cutoff = lattice_cutoff(lat) * sigma_max
             assert index_commutative(g, lat) == int(np.sum(want <= cutoff)), where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_kernel_index_and_harness_share_one_cutoff_on_every_divisor_lattice(L):
+    # On a commuting adjoint the index is the kernel's dimension and the
+    # report's surrogate; on any lattice the adjoint's kernel is empty
+    # exactly when the harness finds (viii).  With a cutoff per rule, the
+    # Gaussian at L = 18 on (1, 18) had index 1 and an empty kernel.
+    rng = np.random.default_rng(700 + L)
+    windows = oracle_windows(rng, L)
+    windows["gaussian"] = Window.unit(periodized_gaussian(L), "gaussian")
+    for lat in divisor_lattices(L):
+        adjoint = lat.adjoint()
+        config = reporting.AnalysisConfig(length=L, a=lat.a, b=lat.b)
+        for name, g in windows.items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            spectra = SystemSpectra(g, lat)
+            dimension = len(kernel_basis(g, adjoint, spectra=spectra.adjoint))
+            viii = check_all_conditions(g, lat, spectra=spectra).conditions["viii"]
+            assert viii == (dimension == 0), where
+            if adjoint.has_commuting_shifts:
+                entry = reporting._task_index(g, lat, config, None, spectra)
+                assert entry["index"] == dimension == entry["kernel_dimension_surrogate"], where
 
 
 @pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
@@ -439,7 +468,7 @@ def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
     # harness's cutoff wherever the dense eigenvalues do (iv and xiii).
     rng = np.random.default_rng(300 + L)
     for lat in divisor_lattices(L):
-        cut2 = margin_cutoff((L, lat.cardinality, lat.adjoint().cardinality)) ** 2
+        cut2 = lattice_cutoff(lat) ** 2
         for name, g in oracle_windows(rng, L).items():
             spectra = SystemSpectra(g, lat)
             dense = {

@@ -181,6 +181,7 @@ def test_dual_solves_the_dense_frame_operator(system):
         dual = wexler_raz_dual(g, lat).samples
     except NotAFrameError:
         eigs = np.linalg.eigvalsh(S)
-        assert eigs[0] <= margin_cutoff((lat.L, lat.cardinality)) ** 2 * eigs[-1]
+        cut = margin_cutoff((lat.L, lat.cardinality, lat.adjoint().cardinality))
+        assert eigs[0] <= cut**2 * eigs[-1]
         return
     assert np.linalg.norm(S @ dual - g) <= RTOL * np.linalg.norm(S, 2) * np.linalg.norm(dual)

@@ -346,9 +346,8 @@ def identity_windows(L):
 
 @pytest.mark.parametrize("L", range(2, 49))
 def test_verdict_rules_agree_on_every_divisor_lattice(L):
-    # Duality cuts at the harness's dims (L, n, n'), the bounds and the
-    # dual's guard at (L, n) and the kernel rank at (L, n'); the frame
-    # verdicts still agree, as lambda_min(S) is exactly 0 when n < L.
+    # Duality, the bounds, the dual's guard and the kernel rank all cut at
+    # the lattice's one cutoff, at dims (L, n, n').
     tasks = ("bounds", "conditions", "duality", "index")
     for window in identity_windows(L):
         for a, b in divisor_pairs(L):

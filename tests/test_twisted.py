@@ -415,7 +415,7 @@ def test_index_matches_character_loop(L, a, b, recipe):
     lat = SeparableLattice(L, a, b)
     D = synthesis_matrix(g, lat)
     sigma_max = np.linalg.norm(D, 2)
-    cutoff = margin_cutoff((L, lat.cardinality)) * sigma_max
+    cutoff = margin_cutoff((L, lat.cardinality, lat.adjoint().cardinality)) * sigma_max
     want = int(np.sum(naive_character_residuals(L, a, b, g.samples) <= cutoff))
     assert index_commutative(g, lat) == want
     spectra = SystemSpectra(g, lat)
