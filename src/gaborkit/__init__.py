@@ -78,21 +78,15 @@ from .gallery import (
     AlternatingProbeResult,
     WindowRecipe,
     gaussian_alternating_kernel_probe,
+    load_window,
     make_window,
     partition_of_unity_deviation,
     partition_of_unity_kernel,
     periodized_gaussian,
     random_window,
-)
-from .reporting import (
-    AnalysisConfig,
-    DiagnosticsReport,
-    divisor_pairs,
-    load_window,
-    run,
     save_window,
-    sweep,
 )
+from .reporting import AnalysisConfig, DiagnosticsReport, divisor_pairs, run, sweep
 from .tolerances import DEFAULT_TOL_SCALE, margin_cutoff, rank_tolerance
 
 # Importing a submodule binds its name here too; those are not exports.

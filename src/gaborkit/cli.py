@@ -5,7 +5,8 @@ Subcommands: analyze, sweep, gallery, dual, kernel.  Each one is an
 ``sweep`` runs :func:`sweep` and the others :func:`run`.  Exit codes: 0 =
 ran (and any equivalence verdicts were consistent), 2 = ran but an
 equivalence verdict was inconsistent beyond the marginal band (a harness
-alarm), 1 = usage, configuration or runtime error, or a closed stdout.
+alarm), 1 = usage, configuration or runtime error, an allocation the
+machine cannot make, or a closed stdout.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ import os
 import sys
 
 from .errors import ConfigError, GaborkitError
-from .reporting import (
-    DEFAULT_SEED,
-    AnalysisConfig,
-    TASKS,
-    consistency_alarm,
-    jsonable,
-    run,
-    save_window,
-    sweep,
-)
+from .gallery import save_window
+from .reporting import DEFAULT_SEED, AnalysisConfig, TASKS, consistency_alarm, jsonable, run, sweep
 from .tolerances import DEFAULT_TOL_SCALE
 
 DEFAULT_TASKS = ",".join(AnalysisConfig.tasks)
@@ -153,6 +146,11 @@ def main(argv=None) -> int:
         return 2 if consistency_alarm(report) else 0
     except GaborkitError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # No size limit refuses a long signal up front; numpy's message
+        # names the allocation that failed.
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Each print flushes, so a closed stdout is seen here; devnull takes

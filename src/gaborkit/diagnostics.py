@@ -16,8 +16,10 @@ Each verdict counts the values of a spectrum above the lattice's one
 cutoff (:mod:`gaborkit.tolerances`), squared for the PSD operators, and
 holds when all that must clear it do; :func:`_psd_holds` is (ii) and (xi)
 for :func:`duality_check`, the dual's refusal and the finite condition
-number.  A margin, sigma_need/sigma_max or lambda_min/lambda_max over
-the cutoff, within a factor 10 of 1 is flagged marginal.  Every spectrum
+number.  Each public diagnostic takes that cutoff before it reads a
+spectrum, so a bad ``tol_scale`` is refused before any decomposition.  A
+margin, sigma_need/sigma_max or lambda_min/lambda_max over the cutoff,
+within a factor 10 of 1 is flagged marginal.  Every spectrum
 comes from :class:`gaborkit.operators.SystemSpectra`, once per (window,
 lattice), and the dual from :func:`gaborkit.operators._frame_inverse_apply`;
 this module never sees the window factor.
@@ -101,10 +103,10 @@ class DualityRecord:
     adjoint_gramian_spectrum: np.ndarray = field(repr=False)
 
 
-def _psd_holds(eigs, lattice, tol_scale):
-    """Whether all of the PSD spectrum ``eigs`` clears the squared lattice
-    cutoff, as the harness counts: (ii) for S, (xi) for the adjoint G."""
-    return bool(_rank(eigs, _lattice_cutoff(lattice, tol_scale) ** 2) == eigs.size)
+def _psd_holds(eigs, cut2):
+    """Whether all of the PSD spectrum ``eigs`` clears ``cut2``, the squared
+    lattice cutoff, as the harness counts: (ii) for S, (xi) for the adjoint G."""
+    return bool(_rank(eigs, cut2) == eigs.size)
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -158,12 +160,12 @@ def check_all_conditions(
     adjoint; S and G read D's squared.  Always returns a verdict;
     ``consistent`` records whether all fourteen booleans agree.
     """
+    cut = _lattice_cutoff(lattice, tol_scale)
+    cut2 = cut**2
     spectra = _spectra_for(g, lattice, spectra)
     adjoint = spectra.adjoint
     L = lattice.L
     n_adj = adjoint.lattice.cardinality
-    cut = _lattice_cutoff(lattice, tol_scale)
-    cut2 = cut**2
     # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
     measured = {
         "analysis": (spectra.analysis, L, cut),
@@ -211,13 +213,12 @@ def frame_bounds(
     """Frame bounds from the frame operator spectrum, and Riesz bounds from
     its nonzero part, which S shares with the lattice Gramian: both are the
     squared singular values of the window-factor blocks."""
-    spectra = _spectra_for(g, lattice, spectra)
-    eig_frame = spectra.frame
-    lower, upper = float(eig_frame[0]), float(eig_frame[-1])
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
+    eig_frame = _spectra_for(g, lattice, spectra).frame
+    lower, upper = float(eig_frame[0]), float(eig_frame[-1])
     nonzero = eig_frame[eig_frame.size - _rank(eig_frame, cut2) :]
     riesz_sq = (float(nonzero[0]), float(nonzero[-1])) if nonzero.size else (0.0, 0.0)
-    condition = upper / lower if _psd_holds(eig_frame, lattice, tol_scale) else float("inf")
+    condition = upper / lower if _psd_holds(eig_frame, cut2) else float("inf")
     return BoundsReport(
         frame_lower=lower,
         frame_upper=upper,
@@ -239,12 +240,13 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     spectrum fails condition (ii); else solves on the window factor's p x p
     blocks (:func:`gaborkit.operators._frame_inverse_apply`).
     """
+    cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     eigs = _spectra_for(g, lattice, spectra).frame
-    if not _psd_holds(eigs, lattice, tol_scale):
+    if not _psd_holds(eigs, cut2):
         raise NotAFrameError(
             "system is not a frame; no dual window",
             sigma_min=float(eigs[0]),
-            cutoff=_lattice_cutoff(lattice, tol_scale) ** 2 * float(eigs[-1]),
+            cutoff=cut2 * float(eigs[-1]),
         )
     dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
@@ -292,11 +294,12 @@ def duality_check(
 ) -> DualityRecord:
     """The harness's conditions (ii) and (xi) at its cutoff: the frame verdict
     against the adjoint system's Riesz verdict, with both spectra attached."""
+    cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     spectra = _spectra_for(g, lattice, spectra)
     eig_frame = spectra.frame
     eig_adj_gram = spectra.adjoint.gramian
-    frame = _psd_holds(eig_frame, lattice, tol_scale)
-    riesz = _psd_holds(eig_adj_gram, lattice, tol_scale)
+    frame = _psd_holds(eig_frame, cut2)
+    riesz = _psd_holds(eig_adj_gram, cut2)
     return DualityRecord(
         frame=frame,
         adjoint_riesz=riesz,

@@ -3,7 +3,9 @@
 Windows: the periodized Gaussian at the self-dual scaling, discrete
 B-splines (iterated box convolutions, exact in integer arithmetic before
 normalization), general box convolution products, the delta, and windows
-loaded from files.  All recipe windows come out unit-norm.
+loaded from files.  All recipe windows come out unit-norm.  Window files
+are plain text, one ``re<TAB>im`` pair per line in 17 significant digits,
+which round-trips binary doubles exactly.
 
 Counterexamples: the alternating-sign sequence on the critical square
 lattice, and the explicit telescoping kernel sequence for windows that
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LatticeError, PartitionOfUnityError
-from .lattice import SeparableLattice, TwistedSequence
+from .lattice import FiniteModel, SeparableLattice, TwistedSequence, _divisor_fault
 from .operators import Window, synthesis_map, window_samples
 
 RECIPE_KINDS = ("delta", "periodized_gaussian", "bspline", "convolution_product", "file")
@@ -65,17 +67,19 @@ class WindowRecipe:
         return cls("file", path=rest if head == "file" else text)
 
     def fault(self, L: int) -> str:
-        """Why this recipe has no window of length ``L``; "" if it has one."""
+        """Why this recipe has no window of length ``L``; "" if it has one.
+        Each box width must be a positive integer dividing L."""
         if self.kind == "bspline":
+            if not isinstance(self.order, (int, np.integer)):
+                return f"bspline order must be an integer, got {self.order!r}"
             if self.order < 1:
                 return f"bspline order must be >= 1, got {self.order}"
             if len(self.widths) != 1:
                 return "bspline recipe takes exactly one width"
         for w in self.widths:
-            if w < 1:
-                return f"box width must be positive, got {w}"
-            if L % w != 0:
-                return f"box width {w} does not divide L={L}"
+            fault = _divisor_fault(L, w)
+            if fault:
+                return f"box width {fault}"
         return ""
 
 
@@ -85,6 +89,46 @@ def _recipe_ints(fields, text):
         return tuple(int(field) for field in fields)
     except ValueError:
         raise ConfigError("window", f"recipe fields must be integers, got {text!r}") from None
+
+
+def _open_output(path, field, **kwargs):
+    """Open ``path`` for writing; an unwritable path is a ConfigError on
+    ``field``."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as err:
+        raise ConfigError(field, f"cannot write {path!r}: {err}")
+
+
+def save_window(path, samples) -> None:
+    """Write a window as ``re<TAB>im`` lines (17 significant digits)."""
+    samples = np.asarray(samples, dtype=complex)
+    with _open_output(path, "out") as handle:
+        for value in samples:
+            handle.write(f"{value.real:.17g}\t{value.imag:.17g}\n")
+
+
+def load_window(path) -> np.ndarray:
+    """Read a window saved by :func:`save_window` (re/im columns; ``#``
+    comments and blank lines are skipped)."""
+    values = []
+    try:
+        handle = open(path)
+    except OSError as err:
+        raise ConfigError("window", f"cannot read window file {path!r}: {err}")
+    with handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ConfigError("window", f"bad line in window file {path!r}: {line!r}")
+            values.append(complex(float(parts[0]), float(parts[1])))
+    samples = np.array(values, dtype=complex)
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError("window", f"window file {path!r} has non-finite samples")
+    return samples
 
 
 def periodized_gaussian(L: int) -> np.ndarray:
@@ -136,8 +180,6 @@ def make_window(recipe: WindowRecipe, model) -> Window:
         samples = _box_product(L, recipe.widths)
         return Window.unit(samples, f"conv{list(recipe.widths)}")
     # The one kind left is "file".
-    from .reporting import load_window
-
     samples = load_window(recipe.path)
     if samples.shape != (L,):
         raise ConfigError(
@@ -157,8 +199,9 @@ def partition_of_unity_deviation(samples, period: int):
     ``sum_k g[n - period*k]`` over the residues ``n``."""
     samples = np.asarray(samples)
     L = samples.shape[0]
-    if period < 1 or L % period != 0:
-        raise LatticeError(f"period {period} does not divide L={L}")
+    fault = _divisor_fault(L, period)
+    if fault:
+        raise LatticeError(f"period {fault}")
     sums = samples.reshape(L // period, period).sum(axis=0)
     mean = complex(np.mean(sums))
     return mean, float(np.max(np.abs(sums - mean)))
@@ -179,6 +222,7 @@ def gaussian_alternating_kernel_probe(L: int, window=None) -> AlternatingProbeRe
     ``window=None`` uses the periodized Gaussian; pass another window (e.g.
     the delta) for control runs.
     """
+    FiniteModel(L)  # the signal length's own check
     step = int(round(np.sqrt(L)))
     if step < 2 or step * step != L:
         raise LatticeError(f"alternating probe needs a perfect square length, got L={L}")
@@ -215,8 +259,9 @@ def partition_of_unity_kernel(g, pou_period: int, phases: int, time_step: int = 
     L = samples.shape[0]
     if phases < 2:
         raise LatticeError(f"need at least 2 phases, got {phases}")
-    if pou_period < 1 or L % pou_period != 0:
-        raise LatticeError(f"partition period {pou_period} does not divide L={L}")
+    fault = _divisor_fault(L, pou_period)
+    if fault:
+        raise LatticeError(f"partition period {fault}")
     if pou_period % phases != 0:
         raise LatticeError(
             f"phase count {phases} does not divide the partition period {pou_period}"

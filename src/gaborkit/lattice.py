@@ -47,8 +47,9 @@ class FiniteModel:
     L: int
 
     def __post_init__(self):
-        if not isinstance(self.L, (int, np.integer)) or self.L < 2:
-            raise LatticeError(f"signal length must be an integer >= 2, got {self.L!r}")
+        fault = _length_fault(self.L)
+        if fault:
+            raise LatticeError(f"signal length {fault}")
 
     def reduce(self, z) -> PhasePoint:
         """Reduce a phase point mod L."""
@@ -68,14 +69,30 @@ def _check_length(L, f, what="signal"):
     return np.ascontiguousarray(f)
 
 
+def _length_fault(L):
+    """Why ``L`` cannot be a signal length; "" when it can."""
+    if not isinstance(L, (int, np.integer)) or L < 2:
+        return f"must be an integer >= 2, got {L!r}"
+    return ""
+
+
+def _divisor_fault(L, value):
+    """Why ``value`` is not a positive integer dividing ``L``; "" when it
+    is: the rule of lattice steps, box widths and partition periods."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        return f"must be a positive integer, got {value!r}"
+    if L % value != 0:
+        return f"{value} does not divide L={L}"
+    return ""
+
+
 def _step_fault(L, a, b):
     """``(name, why)`` for the first of ``a``, ``b`` that cannot step a
     lattice on Z_L; None when both can."""
     for name, step in (("a", a), ("b", b)):
-        if not isinstance(step, (int, np.integer)) or step < 1:
-            return name, f"must be a positive integer, got {step!r}"
-        if L % step != 0:
-            return name, f"{step} does not divide L={L}"
+        fault = _divisor_fault(L, step)
+        if fault:
+            return name, fault
     return None
 
 

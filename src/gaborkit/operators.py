@@ -37,7 +37,7 @@ every window, which makes it the check of the painless maps.
 blocks is the synthesis spectrum, whose squares are the frame and Gramian
 spectra, as ``S = D D^H`` and ``G = D^H D`` (:class:`SystemSpectra`; only
 this module writes to an entry).  :func:`_synthesis_kernel` keeps the
-SVD's left null vectors past each block's rank (:func:`_synthesis_rank`)
+SVD's left null vectors past each block's rank at the lattice cutoff
 for the kernel basis.  The analysis spectrum stays dense, so the harness
 compares dense C against the blocks' D, and a lattice's blocks against
 those of its adjoint, built from other translates.
@@ -282,20 +282,17 @@ def _frame_inverse_apply(g, lattice, f):
     return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
 
 
-def _synthesis_rank(svals, lattice, tol_scale):
-    """How many of ``svals`` (along the last axis) clear the lattice cutoff
-    times the largest of them all: the rank of D, or of each block."""
-    return _rank(svals, _lattice_cutoff(lattice, tol_scale), axis=-1)
-
-
 def _synthesis_kernel(g, lattice, tol_scale, spectra):
     """Orthonormal null vectors of the synthesis map on ``lattice``, shape
     (dim, L/a, L/b).  Up to unitary FFTs D is the block diagonal of the
     blocks' conjugate transposes, so its nullspace is the sum of their left
     nullspaces: the left singular vectors of block ``(nu1, sigma, rho)`` past
     its rank, each the sequence ``u[k0]`` there, placed on the grid as
-    :func:`_analyze` places its blocks.  The blocks' singular values fill
-    ``synthesis`` in ``spectra`` (new when None)."""
+    :func:`_analyze` places its blocks.  A block's rank counts its singular
+    values above the lattice cutoff times the largest of all blocks'.  The
+    blocks' singular values fill ``synthesis`` in ``spectra`` (new when
+    None)."""
+    cut = _lattice_cutoff(lattice, tol_scale)
     L, n = lattice.L, lattice.cardinality
     c, p, q, d = _factor_sizes(lattice)
     # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
@@ -307,7 +304,7 @@ def _synthesis_kernel(g, lattice, tol_scale, spectra):
     svals *= scale
     # cached_property keeps a computed spectrum in the instance dict.
     vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
-    rank = _synthesis_rank(svals, lattice, tol_scale)
+    rank = _rank(svals, cut, axis=-1)
     nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
     dim = nu1.size
     _guard_dense(dim * max(L, n), "kernel basis")

@@ -3,8 +3,7 @@
 Reports are JSON documents with a top-level ``schema_version``; floats are
 serialized at full round-trip precision, complex numbers as ``[re, im]``
 pairs, and non-finite values as the strings ``"inf"``/``"-inf"``/``"nan"``.
-Window files are plain text, one ``re<TAB>im`` pair per line in 17
-significant digits, which round-trips binary doubles exactly.
+Window files are read and written by :mod:`gaborkit.gallery`.
 
 Identical configurations produce byte-identical reports apart from the
 ``timing`` block (wall-clock seconds); all randomized checks derive from
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -33,15 +31,17 @@ from .diagnostics import (
 from .errors import ConfigError
 from .gallery import (
     WindowRecipe,
+    _open_output,
     gaussian_alternating_kernel_probe,
+    load_window,
     make_window,
     partition_of_unity_kernel,
     random_window,
+    save_window,
 )
-from .lattice import FiniteModel, SeparableLattice, _step_fault
+from .lattice import FiniteModel, SeparableLattice, _length_fault, _step_fault
 from .operators import SystemSpectra, Window, frame_operator_apply, operator_norms, synthesis_map
-from .operators import _synthesis_rank
-from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff
+from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff, _rank
 from .twisted import index_commutative, janssen_coefficients, kernel_basis
 
 SCHEMA_VERSION = "1"
@@ -50,46 +50,6 @@ DEFAULT_SEED = 20200313
 
 #: Square lengths used by the fixed counterexample gallery task.
 GALLERY_LENGTHS = (16, 36, 64, 100)
-
-
-def _open_output(path, field, **kwargs):
-    """Open ``path`` for writing; an unwritable path is a ConfigError on
-    ``field``."""
-    try:
-        return open(path, "w", **kwargs)
-    except OSError as err:
-        raise ConfigError(field, f"cannot write {path!r}: {err}")
-
-
-def save_window(path, samples) -> None:
-    """Write a window as ``re<TAB>im`` lines (17 significant digits)."""
-    samples = np.asarray(samples, dtype=complex)
-    with _open_output(path, "out") as handle:
-        for value in samples:
-            handle.write(f"{value.real:.17g}\t{value.imag:.17g}\n")
-
-
-def load_window(path) -> np.ndarray:
-    """Read a window saved by :func:`save_window` (re/im columns; ``#``
-    comments and blank lines are skipped)."""
-    values = []
-    try:
-        handle = open(path)
-    except OSError as err:
-        raise ConfigError("window", f"cannot read window file {path!r}: {err}")
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError("window", f"bad line in window file {path!r}: {line!r}")
-            values.append(complex(float(parts[0]), float(parts[1])))
-    samples = np.array(values, dtype=complex)
-    if not np.all(np.isfinite(samples)):
-        raise ConfigError("window", f"window file {path!r} has non-finite samples")
-    return samples
 
 
 @dataclass
@@ -107,17 +67,21 @@ class AnalysisConfig:
     spectra: str = ""
 
     def validate(self) -> None:
-        if not isinstance(self.length, (int, np.integer)) or self.length < 2:
-            raise ConfigError("length", f"must be an integer >= 2, got {self.length!r}")
+        """Refuse the first bad field with a ConfigError naming it.  Tasks,
+        window text and seed are this class's own rules; the length and the
+        steps are :mod:`gaborkit.lattice`'s and ``tol_scale`` is
+        :mod:`gaborkit.tolerances`'."""
+        fault = _length_fault(self.length)
+        if fault:
+            raise ConfigError("length", fault)
         self._check_steps(self.a, self.b)
         if not self.tasks:
             raise ConfigError("tasks", "at least one task is required")
         for task in self.tasks:
             if task not in TASKS:
                 raise ConfigError("tasks", f"unknown task {task!r}; choose from {TASKS}")
-        if not (self.tol_scale > 0 and math.isfinite(self.tol_scale)):
-            raise ConfigError("tol_scale", f"must be positive and finite, got {self.tol_scale!r}")
-        if not self.window:
+        _check_tol_scale(self.tol_scale)
+        if not isinstance(self.window, str) or not self.window:
             raise ConfigError("window", "a window recipe or file path is required")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
@@ -241,15 +205,17 @@ def _task_kernel(g, lattice, config, rng, spectra):
 
 
 def _task_index(g, lattice, config, rng, spectra):
-    adjoint, commutative = spectra.adjoint, spectra.adjoint.lattice.has_commuting_shifts
-    # The kernel dimension by the rank kernel_basis counts; on a commuting
-    # adjoint it is the index, else an upper-bound surrogate of it.
-    rank = _synthesis_rank(adjoint.synthesis, adjoint.lattice, config.tol_scale)
+    """The kernel dimension by the rank kernel_basis counts, counted once:
+    on a commuting adjoint it is the index, else an upper-bound surrogate."""
+    adjoint = spectra.adjoint
+    if adjoint.lattice.has_commuting_shifts:
+        index = index_commutative(g, adjoint.lattice, config.tol_scale, spectra=adjoint)
+        return {"commutative": True, "kernel_dimension_surrogate": index, "index": index}
+    rank = _rank(adjoint.synthesis, _lattice_cutoff(adjoint.lattice, config.tol_scale))
     return {
-        "commutative": commutative,
+        "commutative": False,
         "kernel_dimension_surrogate": adjoint.lattice.cardinality - int(rank),
-        "index": index_commutative(g, adjoint.lattice, config.tol_scale, spectra=adjoint)
-        if commutative else None,
+        "index": None,
     }
 
 

@@ -11,9 +11,18 @@ disagree over a threshold; no other module calls ``margin_cutoff``.
 ``rank_tolerance``, ``tol_scale * max(shape) * eps * sigma_max``, is read
 only by :func:`gaborkit.twisted.twisted_invert`: acceptance criterion 07
 measures its n x n solve at the epsilon level (``notes/decisions.md``).
+
+Both cutoffs refuse a ``tol_scale`` that is not positive and finite with a
+:class:`ConfigError` on ``tol_scale``, the one check of that rule: a zero,
+negative or nan scale would make every cutoff zero or nan, and so every
+verdict meaningless.
 """
 
+import numbers
+
 import numpy as np
+
+from .errors import ConfigError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -25,13 +34,21 @@ DEFAULT_TOL_SCALE = 1e3
 MARGINAL_BAND = 10.0
 
 
+def _check_tol_scale(tol_scale):
+    """Refuse a ``tol_scale`` that is not a positive finite number."""
+    if not (isinstance(tol_scale, numbers.Real) and 0 < tol_scale < np.inf):
+        raise ConfigError("tol_scale", f"must be positive and finite, got {tol_scale!r}")
+
+
 def rank_tolerance(shape, sigma_max, tol_scale=DEFAULT_TOL_SCALE):
     """Absolute cutoff below which a singular value counts as zero."""
+    _check_tol_scale(tol_scale)
     return tol_scale * max(shape) * EPS * float(sigma_max)
 
 
 def margin_cutoff(dims, tol_scale=DEFAULT_TOL_SCALE):
     """Dimensionless first-order cutoff on sigma_min/sigma_max ratios."""
+    _check_tol_scale(tol_scale)
     return float(np.sqrt(tol_scale * max(dims) * EPS))
 
 

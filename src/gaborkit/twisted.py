@@ -35,11 +35,10 @@ from .operators import (
     _spectra_for,
     _svd,
     _synthesis_kernel,
-    _synthesis_rank,
     _twisted_matrix,
     shift_autocorrelation,
 )
-from .tolerances import DEFAULT_TOL_SCALE, rank_tolerance
+from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _rank, rank_tolerance
 
 
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
@@ -104,9 +103,13 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
     condition number of the convolution operator; that is also the floor
     attainable by any double-precision representation of the inverse.
     """
+    n = a.lattice.cardinality
+    # The cutoff per unit sigma_max, taken first, so a bad tol_scale is
+    # refused before the matrix is built.
+    unit_cutoff = rank_tolerance((n, n), 1.0, tol_scale)
     R = right_multiplier_matrix(a)
     svals = _svd(R, "twisted multiplier matrix", compute_uv=False)
-    cutoff = rank_tolerance(R.shape, svals[0], tol_scale)
+    cutoff = unit_cutoff * float(svals[0])
     if svals[-1] <= cutoff:
         raise SingularAlgebraError(
             "twisted sequence is not invertible", sigma_min=float(svals[-1]), cutoff=cutoff
@@ -119,8 +122,7 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
 def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
     ``lattice`` at the lattice cutoff, empty when the map is injective: the
-    window-factor blocks' left null vectors past the rank of
-    :func:`gaborkit.operators._synthesis_rank`
+    window-factor blocks' left null vectors past their rank at that cutoff
     (:func:`gaborkit.operators._synthesis_kernel`), which also fill
     ``synthesis`` in ``spectra``, the window's entry on ``lattice``.  A
     witness ``|D x|`` can reach the cutoff times sigma_max (5.4e-6 for the
@@ -146,12 +148,13 @@ def index_commutative(
     when the dual-side system is a frame.  Each character's residual
     ``|D chi| / |chi|`` is one synthesis singular value (``notes/decisions.md``),
     so the index is n minus their rank in ``spectra``, the window's entry on
-    ``lattice`` (new when None), by :func:`gaborkit.operators._synthesis_rank`:
+    ``lattice`` (new when None), at the lattice cutoff:
     ``len(kernel_basis(...))`` exactly, and no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
     nontrivial (for separable lattices: when L does not divide a*b).
     """
+    cut = _lattice_cutoff(lattice, tol_scale)
     if not lattice.has_commuting_shifts:
         raise NonCommutativeLatticeError(
             f"lattice steps ({lattice.a}, {lattice.b}) with L={lattice.L} have "
@@ -159,4 +162,4 @@ def index_commutative(
             "commutative case"
         )
     svals = _spectra_for(g, lattice, spectra).synthesis
-    return lattice.cardinality - int(_synthesis_rank(svals, lattice, tol_scale))
+    return lattice.cardinality - int(_rank(svals, cut))

@@ -200,6 +200,18 @@ def test_sweep_zero_step_exit_1(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("window", ["gaussian", "delta"])
+def test_allocation_failure_exit_1(capsys, window):
+    # The window's first array, 8e17 bytes, is beyond any address space, so
+    # numpy refuses it at once with a MemoryError; no size limit refuses L.
+    code = main(["analyze", "-L", str(10**17), "--lattice", "1,1", "--window", window])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])

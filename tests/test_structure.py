@@ -1,10 +1,14 @@
 """Each rank rule has one owner: only ``tolerances`` calls ``margin_cutoff``
 (through the lattice cutoff every decision about a lattice reads), and
 only ``twisted.twisted_invert`` calls ``rank_tolerance``.  Read from the
-source with :mod:`ast`, so a call is found however the module runs."""
+source with :mod:`ast`, so a call is found however the module runs.  Each
+input rule's message, too, is written at one site, in the module that owns
+the value."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaborkit"
 
@@ -51,3 +55,21 @@ def test_only_tolerances_calls_margin_cutoff():
 
 def test_only_twisted_invert_calls_rank_tolerance():
     assert calls("rank_tolerance") == [("twisted", "twisted_invert")]
+
+
+@pytest.mark.parametrize(
+    "text,owner",
+    [
+        ("does not divide L=", "lattice"),  # lattice steps, box widths, partition periods
+        ("must be an integer >= 2", "lattice"),  # the signal length
+        ("must be positive and finite", "tolerances"),  # tol_scale
+    ],
+)
+def test_each_input_rule_is_written_once(text, owner):
+    sites = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if text in line
+    ]
+    assert sites == [owner]
