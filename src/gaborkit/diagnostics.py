@@ -7,22 +7,23 @@ about the analysis map, the frame operator, the synthesis map, and the
 adjoint-lattice analysis, synthesis and Gramian -- and reports whether all
 fourteen verdicts agree.  They collapse onto six measured margins
 (:data:`CONDITION_TABLE`).  C is dense; D is one batched SVD of the window
-factor, and S and G are its squares.  So C (i, v) and D (vi, vii) are two
-routes, and so are S (ii-iv) and the adjoint G (xi-xiv), whose factors use
+factor's ``sigma = 0`` fiber.  So C (i, v) and D (vi, vii) are two routes,
+and so are S (ii-iv) and the adjoint G (xi-xiv), whose fibers use
 different translates.  In exact arithmetic all fourteen agree, so any
 disagreement beyond the flagged marginal band is an alarm.
 
 Each verdict counts the values of a spectrum above the lattice's one
-cutoff (:mod:`gaborkit.tolerances`), squared for the PSD operators, and
-holds when all that must clear it do; :func:`_psd_holds` is (ii) and (xi)
-for :func:`duality_check`, the dual's refusal and the finite condition
-number.  Each public diagnostic takes that cutoff before it reads a
-spectrum, so a bad ``tol_scale`` is refused before any decomposition.  A
-margin, sigma_need/sigma_max or lambda_min/lambda_max over the cutoff,
-within a factor 10 of 1 is flagged marginal.  Every spectrum
-comes from :class:`gaborkit.operators.SystemSpectra`, once per (window,
-lattice), and the dual from :func:`gaborkit.operators._frame_inverse_apply`;
-this module never sees the window factor.
+cutoff (:mod:`gaborkit.tolerances`), and holds when all that must clear it
+do; S and G count D's squared at the squared cutoff, and :func:`_psd_holds`
+is (ii) and (xi) for :func:`duality_check`, the dual's refusal and the
+finite condition number.  Each public diagnostic takes that cutoff before
+it reads a spectrum, so a bad ``tol_scale`` is refused before any
+decomposition.  A margin, sigma_need/sigma_max or lambda_min/lambda_max
+over the cutoff, within a factor 10 of 1 is flagged marginal.  Every
+spectrum comes from :class:`gaborkit.operators.SystemSpectra`, once per
+(window, lattice), and the dual from
+:func:`gaborkit.operators._frame_inverse_apply`; this module never sees
+the window factor.
 
 In this finite model, invertibility on the heavy and light sequence spaces
 collapses to plain invertibility, and injectivity of a square system already
@@ -103,10 +104,14 @@ class DualityRecord:
     adjoint_gramian_spectrum: np.ndarray = field(repr=False)
 
 
-def _psd_holds(eigs, cut2):
-    """Whether all of the PSD spectrum ``eigs`` clears ``cut2``, the squared
-    lattice cutoff, as the harness counts: (ii) for S, (xi) for the adjoint G."""
-    return bool(_rank(eigs, cut2) == eigs.size)
+def _psd_holds(eigs, need, cut2):
+    """Whether ``need`` of ``eigs``, D's values squared, clear the squared cutoff ``cut2``."""
+    return bool(_rank(eigs, cut2) == need)
+
+
+def _deciding(values, need):
+    """The ``need``-th largest of ``values``, descending; zero past them."""
+    return float(values[need - 1]) if values.size >= need else 0.0
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -156,7 +161,7 @@ def check_all_conditions(
 
     The fourteen collapse onto six measured margins (see
     :data:`CONDITION_TABLE`), one per operator, from four decompositions in
-    ``spectra``: C's dense SVD and D's block SVD, on the lattice and on its
+    ``spectra``: C's dense SVD and D's fiber SVD, on the lattice and on its
     adjoint; S and G read D's squared.  Always returns a verdict;
     ``consistent`` records whether all fourteen booleans agree.
     """
@@ -170,10 +175,10 @@ def check_all_conditions(
     measured = {
         "analysis": (spectra.analysis, L, cut),
         "synthesis": (spectra.synthesis, L, cut),
-        "frame": (spectra.frame[::-1], L, cut2),
+        "frame": (spectra.synthesis**2, L, cut2),
         "adjoint_analysis": (adjoint.analysis, n_adj, cut),
         "adjoint_synthesis": (adjoint.synthesis, n_adj, cut),
-        "adjoint_gramian": (adjoint.gramian[::-1], n_adj, cut2),
+        "adjoint_gramian": (adjoint.synthesis**2, n_adj, cut2),
     }
     # operator -> how many of the values that must clear the cutoff do not
     missing = {op: need - _rank(values, c) for op, (values, need, c) in measured.items()}
@@ -181,7 +186,7 @@ def check_all_conditions(
     for key, (operator, kind) in CONDITION_TABLE.items():
         values, need, cutoff = measured[operator]
         conditions[key] = bool(missing[operator] == 0)
-        deciding = float(values[need - 1]) if values.size >= need else 0.0
+        deciding = _deciding(values, need)
         residuals[key] = {
             "value": deciding,
             "root": float(np.sqrt(max(deciding, 0.0))),
@@ -197,13 +202,9 @@ def check_all_conditions(
     )
     verdicts = set(conditions.values())
     return EquivalenceVerdict(
-        conditions=conditions,
-        residuals=residuals,
-        margins=margins,
-        consistent=len(verdicts) == 1,
-        marginal=bool(marginal_conditions),
-        marginal_conditions=marginal_conditions,
-        cutoff=cut,
+        conditions=conditions, residuals=residuals, margins=margins,
+        consistent=len(verdicts) == 1, marginal=bool(marginal_conditions),
+        marginal_conditions=marginal_conditions, cutoff=cut,
     )
 
 
@@ -212,21 +213,16 @@ def frame_bounds(
 ) -> BoundsReport:
     """Frame bounds from the frame operator spectrum, and Riesz bounds from
     its nonzero part, which S shares with the lattice Gramian: both are the
-    squared singular values of the window-factor blocks."""
+    squared singular values of the window-factor blocks, descending."""
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
-    eig_frame = _spectra_for(g, lattice, spectra).frame
-    lower, upper = float(eig_frame[0]), float(eig_frame[-1])
-    nonzero = eig_frame[eig_frame.size - _rank(eig_frame, cut2) :]
-    riesz_sq = (float(nonzero[0]), float(nonzero[-1])) if nonzero.size else (0.0, 0.0)
-    condition = upper / lower if _psd_holds(eig_frame, cut2) else float("inf")
+    eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
+    lower, upper, rank = _deciding(eigs, lattice.L), float(eigs[0]), _rank(eigs, cut2)
+    riesz_sq = (float(eigs[rank - 1]), upper) if rank else (0.0, 0.0)
+    condition = upper / lower if rank == lattice.L else float("inf")
     return BoundsReport(
-        frame_lower=lower,
-        frame_upper=upper,
-        riesz_lower=float(np.sqrt(riesz_sq[0])),
-        riesz_upper=float(np.sqrt(riesz_sq[1])),
-        riesz_lower_sq=riesz_sq[0],
-        riesz_upper_sq=riesz_sq[1],
-        condition_number=condition,
+        frame_lower=lower, frame_upper=upper,
+        riesz_lower=float(np.sqrt(riesz_sq[0])), riesz_upper=float(np.sqrt(riesz_sq[1])),
+        riesz_lower_sq=riesz_sq[0], riesz_upper_sq=riesz_sq[1], condition_number=condition,
     )
 
 
@@ -241,12 +237,11 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     blocks (:func:`gaborkit.operators._frame_inverse_apply`).
     """
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
-    eigs = _spectra_for(g, lattice, spectra).frame
-    if not _psd_holds(eigs, cut2):
+    eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
+    if not _psd_holds(eigs, lattice.L, cut2):
         raise NotAFrameError(
             "system is not a frame; no dual window",
-            sigma_min=float(eigs[0]),
-            cutoff=cut2 * float(eigs[-1]),
+            sigma_min=_deciding(eigs, lattice.L), cutoff=cut2 * float(eigs[0]),
         )
     dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
@@ -293,19 +288,16 @@ def duality_check(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> DualityRecord:
     """The harness's conditions (ii) and (xi) at its cutoff: the frame verdict
-    against the adjoint system's Riesz verdict, with both spectra attached."""
+    against the adjoint system's Riesz verdict, with both padded spectra
+    attached."""
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     spectra = _spectra_for(g, lattice, spectra)
-    eig_frame = spectra.frame
-    eig_adj_gram = spectra.adjoint.gramian
-    frame = _psd_holds(eig_frame, cut2)
-    riesz = _psd_holds(eig_adj_gram, cut2)
+    adjoint = spectra.adjoint
+    frame = _psd_holds(spectra.synthesis**2, lattice.L, cut2)
+    riesz = _psd_holds(adjoint.synthesis**2, adjoint.lattice.cardinality, cut2)
     return DualityRecord(
-        frame=frame,
-        adjoint_riesz=riesz,
-        agree=frame == riesz,
-        frame_spectrum=eig_frame,
-        adjoint_gramian_spectrum=eig_adj_gram,
+        frame=frame, adjoint_riesz=riesz, agree=frame == riesz,
+        frame_spectrum=spectra.frame, adjoint_gramian_spectrum=adjoint.gramian,
     )
 
 

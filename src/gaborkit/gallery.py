@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LatticeError, PartitionOfUnityError
+from .errors import ConfigError, LatticeError, PartitionOfUnityError, ShapeMismatchError
 from .lattice import FiniteModel, SeparableLattice, TwistedSequence, _divisor_fault
 from .operators import Window, synthesis_map, window_samples
 
@@ -68,7 +68,11 @@ class WindowRecipe:
 
     def fault(self, L: int) -> str:
         """Why this recipe has no window of length ``L``; "" if it has one.
-        Each box width must be a positive integer dividing L."""
+        The widths are a sequence of positive integers dividing L."""
+        if not isinstance(self.widths, (tuple, list)):
+            return f"box widths must be a sequence of integers, got {self.widths!r}"
+        if self.kind == "convolution_product" and not self.widths:
+            return "convolution recipe needs at least one width"
         if self.kind == "bspline":
             if not isinstance(self.order, (int, np.integer)):
                 return f"bspline order must be an integer, got {self.order!r}"
@@ -138,6 +142,7 @@ def periodized_gaussian(L: int) -> np.ndarray:
     samples satisfy g[n] = g[L - n] term by term; the truncation tail is
     below 1e-17 relative.
     """
+    FiniteModel(L)  # the signal length's own check
     n = np.arange(L)
     centered = ((n + L // 2) % L) - L // 2
     reach = int(np.ceil(0.5 + np.sqrt(40.0 / L))) + 1
@@ -198,6 +203,8 @@ def partition_of_unity_deviation(samples, period: int):
     """Return ``(mean, max deviation)`` of the periodized sums
     ``sum_k g[n - period*k]`` over the residues ``n``."""
     samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ShapeMismatchError(f"samples must be a vector, got shape {samples.shape}")
     L = samples.shape[0]
     fault = _divisor_fault(L, period)
     if fault:
@@ -257,8 +264,8 @@ def partition_of_unity_kernel(g, pou_period: int, phases: int, time_step: int = 
     """
     samples = window_samples(g)
     L = samples.shape[0]
-    if phases < 2:
-        raise LatticeError(f"need at least 2 phases, got {phases}")
+    if not isinstance(phases, (int, np.integer)) or phases < 2:
+        raise LatticeError(f"need an integer number of phases, at least 2, got {phases!r}")
     fault = _divisor_fault(L, pou_period)
     if fault:
         raise LatticeError(f"partition period {fault}")

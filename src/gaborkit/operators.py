@@ -33,14 +33,14 @@ This module is the one owner of that layout.  The maps run the factor on
 the Zak transform of the signal, as :func:`frame_operator_apply` does for
 every window, which makes it the check of the painless maps.
 :func:`_frame_inverse_apply` solves the p x p blocks ``(M/p) W^H W`` for
-``S^-1 f``, and ``S^-1 g`` is the canonical dual.  One batched SVD of the
-blocks is the synthesis spectrum, whose squares are the frame and Gramian
-spectra, as ``S = D D^H`` and ``G = D^H D`` (:class:`SystemSpectra`; only
-this module writes to an entry).  :func:`_synthesis_kernel` keeps the
-SVD's left null vectors past each block's rank at the lattice cutoff
-for the kernel basis.  The analysis spectrum stays dense, so the harness
-compares dense C against the blocks' D, and a lattice's blocks against
-those of its adjoint, built from other translates.
+``S^-1 f``, and ``S^-1 g`` is the canonical dual.  A block's singular
+values do not depend on ``sigma``: one batched SVD of the ``sigma = 0``
+fiber, each value q times, is the synthesis spectrum, whose squares are
+the nonzero S and G spectra (:class:`SystemSpectra`; only this module
+writes to an entry).  :func:`_synthesis_kernel` keeps every block's left
+null vectors past its fiber's rank at the lattice cutoff.  The analysis
+spectrum stays dense, so the harness compares dense C against the fiber's
+D, and a lattice's fiber against its adjoint's, built from other translates.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_u
 from .tolerances import _lattice_cutoff, _rank
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
-#: complex): n*L for the analysis spectrum's atom stack.  The spectra, the
-#: kernel and the dual still charge q*L for a window factor, although it is
-#: a view of a Zak table of at most q*L entries: their batched block
-#: decompositions run over all q*L entries (``notes/decisions.md``).
+#: complex): n*L for the analysis spectrum's atom stack.  The spectra and the
+#: dual charge q*L for a window factor, though the spectra decompose only the
+#: L entries of its sigma = 0 fiber: the factor reads a Zak table of up to
+#: q*L entries and is a q*L copy when p > q > 1 (``notes/decisions.md``).
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -288,10 +288,10 @@ def _synthesis_kernel(g, lattice, tol_scale, spectra):
     blocks' conjugate transposes, so its nullspace is the sum of their left
     nullspaces: the left singular vectors of block ``(nu1, sigma, rho)`` past
     its rank, each the sequence ``u[k0]`` there, placed on the grid as
-    :func:`_analyze` places its blocks.  A block's rank counts its singular
-    values above the lattice cutoff times the largest of all blocks'.  The
-    blocks' singular values fill ``synthesis`` in ``spectra`` (new when
-    None)."""
+    :func:`_analyze` places its blocks.  Each block has the singular values
+    of the ``sigma = 0`` block with its ``(nu1, rho)``, so ranks count that
+    fiber's above the lattice cutoff times their largest, and it fills
+    ``synthesis`` in ``spectra`` (new when None): dimension = index exactly."""
     cut = _lattice_cutoff(lattice, tol_scale)
     L, n = lattice.L, lattice.cardinality
     c, p, q, d = _factor_sizes(lattice)
@@ -301,11 +301,11 @@ def _synthesis_kernel(g, lattice, tol_scale, spectra):
     blocks, scale = _window_factor(g, lattice)
     # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
     u, svals, _ = _svd(blocks, "kernel block SVD", full_matrices=q > p)
-    svals *= scale
+    fiber = scale * svals[:, 0]
     # cached_property keeps a computed spectrum in the instance dict.
-    vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
-    rank = _rank(svals, cut, axis=-1)
-    nu1, sigma, rho, col = np.nonzero(np.arange(q) >= rank[..., None])
+    vars(spectra).setdefault("synthesis", np.repeat(np.sort(fiber, axis=None)[::-1], q))
+    rank = _rank(fiber, cut, axis=-1)[:, None, :, None]  # [nu1, sigma, rho, col]
+    nu1, sigma, rho, col = np.nonzero(np.broadcast_to(np.arange(q) >= rank, (d, q, c, q)))
     dim = nu1.size
     _guard_dense(dim * max(L, n), "kernel basis")
     values = np.zeros((dim, d, q, q, c), dtype=complex)
@@ -538,11 +538,12 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
 
 
 class SystemSpectra:
-    """The spectra of one window on one lattice, each decomposed on first
-    use and then kept: eigenvalues (ascending) of S and G, singular values
-    (descending) of C, from the dense matrix, and of D, from one batched SVD
-    of the window factor, which is built and dropped; S's and G's are D's
-    squared.  ``table`` maps each lattice to the window's live entry there
+    """The spectra of one window on one lattice.  Two are decomposed on
+    first use and then kept, singular values (descending) of C, from the
+    dense matrix, and of D, from one batched SVD of the window factor's
+    ``sigma = 0`` fiber, which is built and dropped; the eigenvalues
+    (ascending) of S and G are D's squared, padded anew on each read.
+    ``table`` maps each lattice to the window's live entry there
     (:meth:`on`), so each spectrum is computed once per (window, lattice);
     :attr:`adjoint` is the adjoint lattice's entry.  The table holds its
     entries weakly and an entry holds those it made, so no entry is in a
@@ -571,17 +572,16 @@ class SystemSpectra:
 
     def _squared_synthesis(self, size, what):
         """:attr:`synthesis` squared, ascending, after ``size - min(L, n)`` zeros."""
-        lattice = self.lattice
-        _guard_dense(_factor_sizes(lattice)[2] * lattice.L + size, what)
+        _guard_dense(_factor_sizes(self.lattice)[2] * self.lattice.L + size, what)
         svals = self.synthesis
         return np.concatenate([np.zeros(size - svals.size), svals[::-1] ** 2])
 
-    @cached_property
+    @property
     def frame(self) -> np.ndarray:
         """Eigenvalues of ``S = D C = D D^H``; no L x L matrix is built."""
         return self._squared_synthesis(self.lattice.L, "frame spectrum")
 
-    @cached_property
+    @property
     def gramian(self) -> np.ndarray:
         """Eigenvalues of ``G = C D = D^H D``; no n x n matrix is built."""
         return self._squared_synthesis(self.lattice.cardinality, "Gramian spectrum")
@@ -592,12 +592,13 @@ class SystemSpectra:
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        """D's ``min(L, n)`` singular values, one batched SVD of the blocks."""
+        """D's ``min(L, n)`` singular values: the ``sigma = 0`` fiber's, each q times."""
         lattice = self.lattice
         q = _factor_sizes(lattice)[2]
         _guard_dense(q * lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
         blocks, scale = _window_factor(self.g, lattice)
-        return np.sort(scale * _svd(blocks, "synthesis blocks", compute_uv=False), axis=None)[::-1]
+        fiber = scale * _svd(blocks[:, 0], "synthesis blocks", compute_uv=False)
+        return np.repeat(np.sort(fiber, axis=None)[::-1], q)
 
 
 def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:

@@ -75,8 +75,8 @@ class AnalysisConfig:
         if fault:
             raise ConfigError("length", fault)
         self._check_steps(self.a, self.b)
-        if not self.tasks:
-            raise ConfigError("tasks", "at least one task is required")
+        if isinstance(self.tasks, str) or not self.tasks:
+            raise ConfigError("tasks", f"needs a sequence of task names, got {self.tasks!r}")
         for task in self.tasks:
             if task not in TASKS:
                 raise ConfigError("tasks", f"unknown task {task!r}; choose from {TASKS}")
@@ -370,7 +370,7 @@ def sweep(base: AnalysisConfig, pairs=None):
                 "redundancy": lattice.redundancy,
                 "frame_lower": bounds.frame_lower,
                 "frame_upper": bounds.frame_upper,
-                "frame": verdict.frame,
+                "frame": verdict.conditions["i"],
                 "adjoint_riesz": verdict.conditions["xi"],
                 "duality_agree": verdict.conditions["ii"] == verdict.conditions["xi"],
                 "consistent": verdict.consistent,

@@ -35,21 +35,21 @@ MARGINAL_BAND = 10.0
 
 
 def _check_tol_scale(tol_scale):
-    """Refuse a ``tol_scale`` that is not a positive finite number."""
+    """``tol_scale`` as a Python float, so a ``numpy.float32`` scale gives
+    the cutoff of its float; refused unless a positive finite number."""
     if not (isinstance(tol_scale, numbers.Real) and 0 < tol_scale < np.inf):
         raise ConfigError("tol_scale", f"must be positive and finite, got {tol_scale!r}")
+    return float(tol_scale)
 
 
 def rank_tolerance(shape, sigma_max, tol_scale=DEFAULT_TOL_SCALE):
     """Absolute cutoff below which a singular value counts as zero."""
-    _check_tol_scale(tol_scale)
-    return tol_scale * max(shape) * EPS * float(sigma_max)
+    return _check_tol_scale(tol_scale) * max(shape) * EPS * float(sigma_max)
 
 
 def margin_cutoff(dims, tol_scale=DEFAULT_TOL_SCALE):
     """Dimensionless first-order cutoff on sigma_min/sigma_max ratios."""
-    _check_tol_scale(tol_scale)
-    return float(np.sqrt(tol_scale * max(dims) * EPS))
+    return float(np.sqrt(_check_tol_scale(tol_scale) * max(dims) * EPS))
 
 
 def _lattice_cutoff(lattice, tol_scale=DEFAULT_TOL_SCALE):

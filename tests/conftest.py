@@ -62,10 +62,11 @@ def dense_gramian_spectrum(G, L, rng):
     return np.sort(np.concatenate([eigs, np.zeros(n - eigs.size)])), slack
 
 
-def factor_block_shape(lattice):
+def fiber_block_shape(lattice):
     """Shape of the window-factor blocks whose batched SVD gives
-    ``SystemSpectra.synthesis``: (d, q, c) blocks of size q x p."""
+    ``SystemSpectra.synthesis``: the ``sigma = 0`` fiber's (d, c) blocks of
+    size q x p, not the factor's d*q*c."""
     from gaborkit.operators import _factor_sizes
 
     c, p, q, d = _factor_sizes(lattice)
-    return (d, q, c, q, p)
+    return (d, c, q, p)

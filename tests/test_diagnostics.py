@@ -36,7 +36,7 @@ from gaborkit import (
     wexler_raz_dual,
     wexler_raz_residual,
 )
-from conftest import factor_block_shape, random_signal, random_unit_window
+from conftest import fiber_block_shape, random_signal, random_unit_window
 from fixtures import (
     CRITICAL_L16_FRAME_UPPER,
     CRITICAL_L16_RIESZ_LOWER_SQ,
@@ -333,12 +333,12 @@ def test_shared_spectra_give_identical_results(rng, linalg_calls, L, a, b):
     shapes = linalg_calls("eigvalsh", "svd")
     assert diagnostics(spectra=SystemSpectra(g, lat)) == fresh
     # The lattice and its adjoint, which is the same lattice when a*b = L:
-    # each one's analysis matrix and synthesis blocks once; S and the
+    # each one's analysis matrix and synthesis fiber once; S and the
     # Gramians are the synthesis spectra squared, so nothing is eigensolved.
     lattices = {lat, lat.adjoint()}
     assert len(lattices) == (1 if a * b == L else 2)
     assert shapes["eigvalsh"] == []
-    want = [shape for m in lattices for shape in ((m.cardinality, L), factor_block_shape(m))]
+    want = [shape for m in lattices for shape in ((m.cardinality, L), fiber_block_shape(m))]
     assert sorted(shapes["svd"]) == sorted(want)
 
 

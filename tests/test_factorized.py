@@ -407,9 +407,9 @@ def test_character_residuals_and_index_match_the_loop(L):
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_kernel_index_and_harness_share_one_cutoff_on_every_divisor_lattice(L):
-    # On a commuting adjoint the index is the kernel's dimension and the
-    # report's surrogate; on any lattice the adjoint's kernel is empty
-    # exactly when the harness finds (viii).  With a cutoff per rule, the
+    # On any lattice the report's surrogate is the adjoint kernel's
+    # dimension, and so is the index on a commuting adjoint; the kernel is
+    # empty exactly when the harness finds (viii).  With a cutoff per rule, the
     # Gaussian at L = 18 on (1, 18) had index 1 and an empty kernel.
     rng = np.random.default_rng(700 + L)
     windows = oracle_windows(rng, L)
@@ -423,9 +423,13 @@ def test_kernel_index_and_harness_share_one_cutoff_on_every_divisor_lattice(L):
             dimension = len(kernel_basis(g, adjoint, spectra=spectra.adjoint))
             viii = check_all_conditions(g, lat, spectra=spectra).conditions["viii"]
             assert viii == (dimension == 0), where
-            if adjoint.has_commuting_shifts:
-                entry = reporting._task_index(g, lat, config, None, spectra)
-                assert entry["index"] == dimension == entry["kernel_dimension_surrogate"], where
+            # The kernel fills the adjoint's spectrum from its own SVD's
+            # sigma = 0 fiber, and a fresh entry decomposes the fiber alone:
+            # either way the index is the kernel's dimension exactly.
+            for entry_spectra in (spectra, SystemSpectra(g, lat)):
+                entry = reporting._task_index(g, lat, config, None, entry_spectra)
+                assert entry["kernel_dimension_surrogate"] == dimension, where
+                assert entry["index"] == (dimension if adjoint.has_commuting_shifts else None), where
 
 
 @pytest.mark.parametrize("length,lattice", [("16", "4,4"), ("16", "2,4"), ("24", "4,4")])
@@ -524,6 +528,41 @@ def test_synthesis_spectrum_matches_dense_on_every_divisor_lattice(L):
             assert np.abs(spectra.analysis - got).max() <= 1e-13 * got[0], where
 
 
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_fiber_spectrum_matches_the_full_factor_on_every_divisor_lattice(L):
+    # A block's singular values do not depend on sigma (notes/decisions.md),
+    # so the sigma = 0 fiber's, each q times, are those of all q*L entries.
+    rng = np.random.default_rng(800 + L)
+    for lat in divisor_lattices(L):
+        for name, g in oracle_windows(rng, L).items():
+            where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
+            blocks, scale = _window_factor(g, lat)
+            full = scale * np.linalg.svd(blocks, compute_uv=False)  # [nu1, sigma, rho, i]
+            sigma_max = full.max()
+            assert np.abs(full - full[:, :1]).max() <= 1e-13 * sigma_max, where
+            got = SystemSpectra(g, lat).synthesis
+            assert got.shape == (full.size,), where
+            assert np.abs(got - np.sort(full, axis=None)[::-1]).max() <= 1e-13 * sigma_max, where
+
+
+# (c, p, q, d) = (4, 2, 3, 2), (1, 4, 3, 1), (4, 1, 3, 2), (2, 2, 1, 4), (1, 3, 4, 2).
+@pytest.mark.parametrize("L, a, b", [(48, 8, 4), (12, 4, 4), (24, 4, 2), (16, 4, 8), (24, 3, 6)])
+def test_synthesis_decomposes_only_the_sigma_zero_fiber(rng, linalg_calls, L, a, b):
+    # One SVD of the fiber's d*c blocks of q x p, L entries, not of the
+    # factor's d*q*c blocks, q*L entries.
+    lat = SeparableLattice(L, a, b)
+    c, p, q, d = _factor_sizes(lat)
+    svd = linalg_calls("svd")["svd"]
+    spectra = SystemSpectra(random_unit_window(rng, L), lat)
+    assert spectra.synthesis.size == min(L, lat.cardinality)
+    assert svd == [(d, c, q, p)] and d * c * q * p == L
+    # S and G are derived on each read, with no second decomposition, and
+    # never kept beside the fiber.
+    assert spectra.frame is not spectra.frame and spectra.gramian is not spectra.gramian
+    assert set(vars(spectra)) & {"frame", "gramian"} == set()
+    assert svd == [(d, c, q, p)]
+
+
 def test_synthesis_blocks_memory_guard(monkeypatch):
     # (1, 1) at L = 4096: q = 4096, so the factor alone holds 4096^2 entries
     # and the 4096 singular values tip it over the cap; refused before the
@@ -582,13 +621,14 @@ def test_analyze_refuses_at_the_atom_stack_before_any_dense_decomposition(
     linalg_calls, capsys
 ):
     # n = 8192 atoms of length 4096 for the dense analysis spectrum: 2^25
-    # entries.  The bounds task before it reads only the window factor.
+    # entries.  The bounds task before it reads only the window factor's
+    # sigma = 0 fiber, (d, c) blocks of q x p.
     shapes = linalg_calls("eigvalsh", "svd")
     assert main(["analyze", "--length", "4096", "--lattice", "64,32"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: atom stack would need 33554432 entries")
     assert shapes["eigvalsh"] == []
-    assert all(len(shape) == 5 for shape in shapes["svd"]), shapes["svd"]
+    assert all(len(shape) == 4 for shape in shapes["svd"]), shapes["svd"]
 
 
 @pytest.mark.parametrize("what, entries, call", [

@@ -23,7 +23,9 @@ from gaborkit import (
     make_window,
     partition_of_unity_deviation,
     partition_of_unity_kernel,
+    periodized_gaussian,
 )
+from gaborkit.tolerances import _lattice_cutoff
 from conftest import random_unit_window
 
 #: Every public function with a ``tol_scale`` parameter, and its other
@@ -70,6 +72,18 @@ def test_numeric_tol_scales_are_accepted():
     assert gaborkit.margin_cutoff(dims, 1000) == gaborkit.margin_cutoff(dims, 1e3)
     assert gaborkit.margin_cutoff(dims, np.float64(2.0)) == gaborkit.margin_cutoff(dims, 2.0)
     assert gaborkit.rank_tolerance(dims, 1.0, np.int64(3)) == gaborkit.rank_tolerance(dims, 1.0, 3)
+
+
+@pytest.mark.parametrize("value", [1e3, 0.1, 2.5])
+def test_a_float32_tol_scale_gives_the_cutoff_of_its_float(value):
+    # numpy keeps float32 * float in float32, which cost 1.4e-15 of the
+    # cutoff before the scale was read as a Python float.
+    scale, dims = np.float32(value), (48, 96, 24)
+    assert gaborkit.margin_cutoff(dims, scale) == gaborkit.margin_cutoff(dims, float(scale))
+    assert gaborkit.rank_tolerance(dims, 3.0, scale) == gaborkit.rank_tolerance(dims, 3.0, float(scale))
+    lattice = SeparableLattice(48, 2, 4)
+    assert _lattice_cutoff(lattice, scale) == _lattice_cutoff(lattice, float(scale))
+    assert type(gaborkit.margin_cutoff(dims, scale)) is float
 
 
 def test_config_refuses_tol_scale_with_the_tolerances_message():
@@ -134,3 +148,43 @@ def test_config_refuses_a_window_that_is_not_text(window):
     with pytest.raises(ConfigError) as err:
         AnalysisConfig(length=12, a=3, b=4, window=window).validate()
     assert err.value.field == "window"
+
+
+def test_config_refuses_a_bare_task_string():
+    # A string is a sequence of letters: it used to read as task "b".
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig(length=12, a=3, b=4, tasks="bounds").validate()
+    assert err.value.field == "tasks"
+    assert "sequence of task names" in str(err.value)
+    AnalysisConfig(length=12, a=3, b=4, tasks=["bounds"]).validate()
+
+
+def test_a_width_that_is_not_a_sequence_is_a_recipe_fault():
+    recipe = WindowRecipe("convolution_product", widths=2)
+    assert recipe.fault(16) == "box widths must be a sequence of integers, got 2"
+    with pytest.raises(LatticeError, match="sequence of integers"):
+        make_window(recipe, FiniteModel(16))
+    empty = WindowRecipe("convolution_product")
+    assert empty.fault(16) == "convolution recipe needs at least one width"
+    with pytest.raises(LatticeError):
+        make_window(empty, FiniteModel(16))
+
+
+@pytest.mark.parametrize("phases", ["2", 2.0, None, 1])
+def test_partition_phases_must_be_an_integer_of_at_least_two(phases):
+    g = make_window(WindowRecipe("bspline", order=1, widths=(4,)), FiniteModel(16))
+    with pytest.raises(LatticeError, match="integer number of phases"):
+        partition_of_unity_kernel(g, 4, phases)
+
+
+@pytest.mark.parametrize("samples", [np.float64(1.0), np.ones((4, 4))])
+def test_partition_deviation_needs_a_sample_vector(samples):
+    with pytest.raises(GaborkitError, match="samples must be a vector"):
+        partition_of_unity_deviation(samples, 1)
+
+
+@pytest.mark.parametrize("L", [16.0, 1, "16", None])
+def test_periodized_gaussian_reads_the_length_rule(L):
+    with pytest.raises(LatticeError, match="signal length must be an integer >= 2"):
+        periodized_gaussian(L)
+    assert periodized_gaussian(np.int64(16)).shape == (16,)

@@ -1,7 +1,8 @@
 """Hypothesis properties of the factorized routes: adjointness, S = D C,
 the Janssen representation of S and the canonical dual against the dense
 frame operator, the frame, Gramian and synthesis spectra against the dense
-frame operator, Gramian and synthesis matrix, and the fourteen-way harness,
+frame operator, Gramian and synthesis matrix, the sigma = 0 fiber's block
+spectra against the full window factor's, and the fourteen-way harness,
 over random windows, signals and divisor lattices.  Half the windows are
 painless (support of at most L/b samples), so both routes of the maps are
 drawn."""
@@ -30,7 +31,7 @@ from gaborkit import (  # noqa: E402
     synthesis_matrix,
     wexler_raz_dual,
 )
-from gaborkit.operators import _factor_sizes  # noqa: E402
+from gaborkit.operators import _factor_sizes, _window_factor  # noqa: E402
 from conftest import dense_gramian_spectrum  # noqa: E402
 
 RTOL = 1e-12
@@ -169,6 +170,21 @@ def test_synthesis_spectrum_is_the_dense_one(system):
     got = SystemSpectra(g, lat).synthesis
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * want[0]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(system=systems())
+@with_corners
+def test_block_spectra_do_not_depend_on_sigma(system):
+    # So the synthesis spectrum, the sigma = 0 fiber's each q times, is the
+    # full factor's.
+    lat, g, _, _ = system
+    blocks, scale = _window_factor(g, lat)
+    full = scale * np.linalg.svd(blocks, compute_uv=False)  # [nu1, sigma, rho, i]
+    sigma_max = full.max()
+    assert np.abs(full - full[:, :1]).max() <= 1e-13 * sigma_max
+    got = SystemSpectra(g, lat).synthesis
+    assert np.abs(got - np.sort(full, axis=None)[::-1]).max() <= 1e-13 * sigma_max
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

@@ -27,7 +27,7 @@ from gaborkit import (
     wexler_raz_dual,
 )
 from gaborkit.reporting import TASKS, consistency_alarm, jsonable
-from conftest import factor_block_shape, random_signal
+from conftest import fiber_block_shape, random_signal
 from fixtures import CRITICAL_L16_FRAME_UPPER
 from oracles import naive_shift
 
@@ -236,9 +236,10 @@ def test_sweep_decomposes_each_matrix_once(linalg_calls):
     lattices = [SeparableLattice(12, a, b) for a, b in divisor_pairs(12)]
     assert len(rows) == len(lattices) == 36
     assert shapes["eigvalsh"] == []
-    # The analysis matrix dense, the synthesis map as one batch of factor blocks.
+    # The analysis matrix dense, the synthesis map as one batch of the
+    # sigma = 0 fiber's blocks.
     assert sorted(shapes["svd"]) == sorted(
-        shape for m in lattices for shape in ((m.cardinality, 12), factor_block_shape(m))
+        shape for m in lattices for shape in ((m.cardinality, 12), fiber_block_shape(m))
     )
 
 

@@ -3,7 +3,8 @@
 only ``twisted.twisted_invert`` calls ``rank_tolerance``.  Read from the
 source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
-the value."""
+the value.  A spectra entry keeps only its two decompositions, and the
+zero-padded S and G spectra derived from them have two readers."""
 
 import ast
 from pathlib import Path
@@ -13,16 +14,11 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaborkit"
 
 
-class _Calls(ast.NodeVisitor):
-    """The enclosing scope of every call to ``name`` or an alias of it."""
+class _Scoped(ast.NodeVisitor):
+    """Collects the enclosing scope of each node a subclass picks."""
 
-    def __init__(self, name):
-        self.name, self.aliases, self.scope, self.found = name, {name}, [], []
-
-    def visit_ImportFrom(self, node):
-        for alias in node.names:
-            if alias.name == self.name and alias.asname:
-                self.aliases.add(alias.asname)
+    def __init__(self):
+        self.scope, self.found = [], []
 
     def _scoped(self, node):
         self.scope.append(node.name)
@@ -31,22 +27,56 @@ class _Calls(ast.NodeVisitor):
 
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
 
+    def _record(self):
+        self.found.append(".".join(self.scope) or "<module>")
+
+
+class _Calls(_Scoped):
+    """The enclosing scope of every call to ``name`` or an alias of it."""
+
+    def __init__(self, name):
+        super().__init__()
+        self.name, self.aliases = name, {name}
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if alias.name == self.name and alias.asname:
+                self.aliases.add(alias.asname)
+
     def visit_Call(self, node):
         func = node.func
         called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if called in self.aliases:
-            self.found.append(".".join(self.scope) or "<module>")
+            self._record()
         self.generic_visit(node)
+
+
+class _Reads(_Scoped):
+    """The enclosing scope of every read of an attribute in ``attrs``."""
+
+    def __init__(self, attrs):
+        super().__init__()
+        self.attrs = attrs
+
+    def visit_Attribute(self, node):
+        if node.attr in self.attrs and isinstance(node.ctx, ast.Load):
+            self._record()
+        self.generic_visit(node)
+
+
+def _found(visitor):
+    """``(module, scope)`` of every node ``visitor()`` picks in ``src/gaborkit``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        walker = visitor()
+        walker.visit(ast.parse(path.read_text(), filename=str(path)))
+        found += [(path.stem, scope) for scope in walker.found]
+    return found
 
 
 def calls(name):
     """``(module, scope)`` of every call to ``name`` in ``src/gaborkit``."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        visitor = _Calls(name)
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        found += [(path.stem, scope) for scope in visitor.found]
-    return found
+    return _found(lambda: _Calls(name))
 
 
 def test_only_tolerances_calls_margin_cutoff():
@@ -73,3 +103,23 @@ def test_each_input_rule_is_written_once(text, owner):
         if text in line
     ]
     assert sites == [owner]
+
+
+def test_spectra_cache_only_their_two_decompositions():
+    tree = ast.parse((SRC / "operators.py").read_text())
+    (spectra,) = [node for node in tree.body if getattr(node, "name", "") == "SystemSpectra"]
+    cached = {
+        node.name
+        for node in spectra.body
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "cached_property"
+    }
+    assert cached == {"analysis", "synthesis"}
+
+
+def test_padded_spectra_have_two_readers():
+    # Every verdict, bound and refusal reads the synthesis spectrum squared;
+    # the padded S and G spectra are for the duality record and the CSV.
+    readers = set(_found(lambda: _Reads({"frame", "gramian"})))
+    assert readers == {("diagnostics", "duality_check"), ("reporting", "_write_spectra")}
