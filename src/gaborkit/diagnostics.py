@@ -39,16 +39,8 @@ import numpy as np
 from .errors import NotAFrameError, ShapeMismatchError
 from .gallery import periodized_gaussian
 from .lattice import SeparableLattice
-from .operators import (
-    Window,
-    _frame_inverse_apply,
-    _guard_dense,
-    _spectra_for,
-    atom_stack,
-    coefficient_map,
-    synthesis_map,
-    window_samples,
-)
+from .operators import Window, _frame_inverse_apply, _guard_dense, _spectra_for, atom_stack
+from .operators import coefficient_map, synthesis_map, window_samples
 from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _rank
 
 
@@ -258,12 +250,18 @@ def wexler_raz_residual(dual, g, lattice: SeparableLattice) -> float:
 
 
 def reconstruction_residual(g, dual, lattice: SeparableLattice, signals) -> float:
-    """Max relative error of ``f = D_g C_dual f`` over the given signals."""
+    """Max relative error of ``f = D_g C_dual f`` over the given signals.
+    Each round trip's coefficient grid, n entries, is charged to the cap,
+    and a zero signal, whose relative error is undefined, is refused."""
+    _guard_dense(lattice.cardinality, "reconstruction grid")
     worst = 0.0
-    for f in signals:
+    for i, f in enumerate(signals):
         f = np.asarray(f, dtype=complex)
+        norm = np.linalg.norm(f)
+        if norm == 0:
+            raise ShapeMismatchError(f"signal {i} is zero; its relative error is undefined")
         rebuilt = synthesis_map(g, lattice, coefficient_map(dual, lattice, f))
-        worst = max(worst, float(np.linalg.norm(rebuilt - f) / np.linalg.norm(f)))
+        worst = max(worst, float(np.linalg.norm(rebuilt - f) / norm))
     return worst
 
 

@@ -31,16 +31,16 @@ hold O(L) entries.
 
 This module is the one owner of that layout.  The maps run the factor on
 the Zak transform of the signal, as :func:`frame_operator_apply` does for
-every window, which makes it the check of the painless maps.
-:func:`_frame_inverse_apply` solves the p x p blocks ``(M/p) W^H W`` for
-``S^-1 f``, and ``S^-1 g`` is the canonical dual.  A block's singular
-values do not depend on ``sigma``: one batched SVD of the ``sigma = 0``
-fiber, each value q times, is the synthesis spectrum, whose squares are
-the nonzero S and G spectra (:class:`SystemSpectra`; only this module
-writes to an entry).  :func:`_synthesis_kernel` keeps every block's left
-null vectors past its fiber's rank at the lattice cutoff.  The analysis
-spectrum stays dense, so the harness compares dense C against the fiber's
-D, and a lattice's fiber against its adjoint's, built from other translates.
+every window, which makes it the check of the painless maps and the dual.
+The rest reads the ``sigma = 0`` fiber ``W0``, L entries from one FFT, one
+gather and one phase (:func:`_fiber`); block ``sigma`` is ``R W0 B`` with
+R and B unitary (:func:`_covariance`).  One batched SVD of the fiber, each
+value q times, is the synthesis spectrum, whose squares are the nonzero S
+and G spectra (:class:`SystemSpectra`; only this module writes to an
+entry); its null vectors moved by R span the kernel, and one p x p block
+``(M/p) W0^H W0`` per ``(nu1, rho)`` solves ``S^-1 f`` through B.  The
+analysis spectrum stays dense, so the harness compares dense C against
+the fiber's D, and a lattice's fiber against its adjoint's.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_u
 from .tolerances import _lattice_cutoff, _rank
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
-#: complex): n*L for the analysis spectrum's atom stack.  The spectra and the
-#: dual charge q*L for a window factor, though the spectra decompose only the
-#: L entries of its sigma = 0 fiber: the factor reads a Zak table of up to
-#: q*L entries and is a q*L copy when p > q > 1 (``notes/decisions.md``).
+#: complex): n*L for the analysis spectrum's atom stack.  The spectra, the
+#: kernel and the dual charge the L entries of the sigma = 0 fiber plus what
+#: they make from it; a function that holds an n-entry grid it does not
+#: return charges that grid (``notes/decisions.md``).
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -78,7 +78,7 @@ class Window:
     original_norm: float = 1.0
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        self.samples = window_samples(self.samples)
         if self.samples.ndim != 1:
             raise ShapeMismatchError(f"window must be a vector, got shape {self.samples.shape}")
         if not np.any(self.samples):
@@ -91,7 +91,7 @@ class Window:
         An exact power-of-two scaling of ``max|g|`` into [1/2, 1) keeps the sum
         of squares from underflowing or overflowing; where ``norm(g)`` is
         representable the result is bit for bit numpy's ``g / norm(g)``."""
-        samples = np.ascontiguousarray(samples, dtype=complex)
+        samples = np.ascontiguousarray(window_samples(samples))
         peak = float(np.max(np.abs(samples), initial=0.0))
         if peak == 0.0:
             raise ShapeMismatchError("window must not be identically zero")
@@ -111,10 +111,13 @@ class Window:
 
 
 def window_samples(g) -> np.ndarray:
-    """Accept a Window or a bare vector."""
+    """Accept a Window or a bare vector of numbers."""
     if isinstance(g, Window):
         return g.samples
-    return np.asarray(g, dtype=complex)
+    try:
+        return np.asarray(g, dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise ShapeMismatchError(f"window samples must be numbers: {err}") from None
 
 
 def _translates(g, lattice):
@@ -229,6 +232,34 @@ def _window_factor(g, lattice):
     return view.transpose(1, 2, 3, 4, 0), math.sqrt(M / p)
 
 
+def _fiber(g, lattice):
+    """``_window_factor(g, lattice)`` at ``sigma = 0`` alone: ``d*c`` blocks
+    of q x p, shape (d, c, q, p), L entries, and the scale.  Row ``k0`` of
+    block ``(nu1, rho)`` is column ``rho + c*s`` of the length-b FFT of g in
+    (b, M) rows at ``nu = nu1 + d*nu2``, conjugated, times
+    ``exp(-2*pi*i*nu*j/b)``, where ``-p*k0 = s + q*j`` with ``0 <= s < q``."""
+    g = _check_length(lattice.L, window_samples(g), "window")
+    c, p, q, d = _factor_sizes(lattice)
+    b, M = lattice.b, lattice.n_freq
+    j, s = np.divmod(-p * np.arange(q), q)
+    table = np.fft.fft(g.reshape(b, M), axis=0)
+    fiber = np.take(table, (np.arange(c)[:, None] + c * s).ravel(), axis=1).reshape(b, c, q)
+    np.conj(fiber, out=fiber)
+    fiber *= root_of_unity(-np.outer(np.arange(b), j), b)[:, None, :]
+    return fiber.reshape(p, d, c, q).transpose(1, 2, 3, 0), math.sqrt(M / p)
+
+
+def _covariance(lattice, sigma, k0):
+    """``(rows, dj)``, broadcast over ``sigma`` and ``k0``: row ``k0`` of the
+    factor's block ``sigma`` is fiber row ``rows`` times
+    ``exp(-2*pi*i*nu*dj/b)``.  As ``dj`` mod p does not depend on ``k0``,
+    the block is ``R W0 B`` with R the permutation and the phase in ``nu1``,
+    and B the diagonal ``exp(-2*pi*i*nu2*dj/p)`` (``notes/decisions.md``)."""
+    _, p, q, _ = _factor_sizes(lattice)
+    rows = (k0 - sigma * pow(p, -1, q)) % q
+    return rows, (sigma - p * (k0 - rows)) // q
+
+
 def _to_grid(values, lattice):
     """Block entries ``[..., nu1, k0, sigma, rho]`` to grid sequences, in
     place: an unscaled length-d inverse FFT over ``nu1 -> k2`` and a
@@ -272,44 +303,50 @@ def _synthesize(blocks, lattice, values):
 
 
 def _frame_inverse_apply(g, lattice, f):
-    """``S^-1 f``, the inverse of :func:`frame_operator_apply`: one batched
-    solve of the window factor's p x p blocks ``(M/p) W^H W`` on the Zak
-    transform of ``f``, charging them and the factor, ``(p + q)*L``, to the cap."""
-    _, p, q, _ = _factor_sizes(lattice)
-    _guard_dense(lattice.L * (p + q), "frame blocks")
-    blocks, _ = _window_factor(g, lattice)
-    frame_blocks = lattice.n_freq / p * (np.conj(blocks).swapaxes(-1, -2) @ blocks)
-    return _unzak(lattice, np.linalg.solve(frame_blocks, _zak(lattice, f)[..., None])[..., 0])
+    """``S^-1 f``: S's p x p block at ``sigma`` is ``B^H H B`` with
+    ``H = (M/p) W0^H W0`` (:func:`_covariance`), so one batched solve of the
+    ``d*c`` blocks H takes every ``sigma`` of the Zak transform of ``f``,
+    phased by B.  Charges the fiber, H and that transform to the cap."""
+    c, p, q, d = _factor_sizes(lattice)
+    _guard_dense(2 * lattice.L + d * c * p * p, "frame blocks")
+    fiber, _ = _fiber(g, lattice)
+    gram = lattice.n_freq / p * (np.conj(fiber).swapaxes(-1, -2) @ fiber)
+    dj = _covariance(lattice, np.arange(q), 0)[1]
+    phase = root_of_unity(-np.outer(dj, np.arange(p)), p)[:, None, :]  # [sigma, rho, nu2]
+    zak = _zak(lattice, f) * phase  # [nu1, sigma, rho, nu2]
+    solved = np.linalg.solve(gram, zak.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return _unzak(lattice, np.multiply(solved, np.conj(phase), out=solved))
 
 
 def _synthesis_kernel(g, lattice, tol_scale, spectra):
     """Orthonormal null vectors of the synthesis map on ``lattice``, shape
     (dim, L/a, L/b).  Up to unitary FFTs D is the block diagonal of the
     blocks' conjugate transposes, so its nullspace is the sum of their left
-    nullspaces: the left singular vectors of block ``(nu1, sigma, rho)`` past
-    its rank, each the sequence ``u[k0]`` there, placed on the grid as
-    :func:`_analyze` places its blocks.  Each block has the singular values
-    of the ``sigma = 0`` block with its ``(nu1, rho)``, so ranks count that
-    fiber's above the lattice cutoff times their largest, and it fills
-    ``synthesis`` in ``spectra`` (new when None): dimension = index exactly."""
+    nullspaces, placed on the grid as :func:`_analyze` places its blocks.
+    Block ``sigma`` is ``R W0 B`` (:func:`_covariance`), so its null vectors
+    are R times the fiber's past its rank at the lattice cutoff, from one
+    SVD that also fills ``synthesis`` in ``spectra`` (new when None)."""
     cut = _lattice_cutoff(lattice, tol_scale)
     L, n = lattice.L, lattice.cardinality
     c, p, q, d = _factor_sizes(lattice)
-    # U holds n*q entries and V^H L*min(p, q); the window factor, q*L, fits in them.
-    _guard_dense(n * q + L * min(p, q), "kernel block SVD")
+    # The fiber holds L entries, U n and V^H (L/q)*min(p, q).
+    _guard_dense(L + n + L // q * min(p, q), "kernel block SVD")
     spectra = _spectra_for(g, lattice, spectra)
-    blocks, scale = _window_factor(g, lattice)
+    fiber, scale = _fiber(g, lattice)
     # Columns of U past min(p, q) exist only with full matrices; V^H is then p x p < q x q.
-    u, svals, _ = _svd(blocks, "kernel block SVD", full_matrices=q > p)
-    fiber = scale * svals[:, 0]
+    u, svals, _ = _svd(fiber, "kernel block SVD", full_matrices=q > p)
+    svals *= scale
     # cached_property keeps a computed spectrum in the instance dict.
-    vars(spectra).setdefault("synthesis", np.repeat(np.sort(fiber, axis=None)[::-1], q))
-    rank = _rank(fiber, cut, axis=-1)[:, None, :, None]  # [nu1, sigma, rho, col]
+    vars(spectra).setdefault("synthesis", np.repeat(np.sort(svals, axis=None)[::-1], q))
+    rank = _rank(svals, cut, axis=-1)[:, None, :, None]  # [nu1, sigma, rho, col]
     nu1, sigma, rho, col = np.nonzero(np.broadcast_to(np.arange(q) >= rank, (d, q, c, q)))
     dim = nu1.size
     _guard_dense(dim * max(L, n), "kernel basis")
+    rows, dj = _covariance(lattice, sigma[:, None], np.arange(q))
     values = np.zeros((dim, d, q, q, c), dtype=complex)
-    values[np.arange(dim), nu1, :, sigma, rho] = u[nu1, sigma, rho, :, col]
+    values[np.arange(dim), nu1, :, sigma, rho] = root_of_unity(
+        -nu1[:, None] * dj, lattice.b
+    ) * u[nu1[:, None], rho[:, None], rows, col[:, None]]
     grids = _to_grid(values, lattice)
     return np.divide(grids, np.linalg.norm(grids, axis=(1, 2), keepdims=True), out=grids)
 
@@ -458,8 +495,9 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
     """Apply S = D C without forming matrices, from one window factor; not
     through the p x p blocks of :func:`_frame_inverse_apply`, so it checks
-    that solve."""
+    that solve.  Its coefficient grid, n entries, is charged to the cap."""
     f = _check_length(lattice.L, f)
+    _guard_dense(lattice.cardinality, "frame operator grid")
     blocks, _ = _window_factor(g, lattice)
     return _synthesize(blocks, lattice, _analyze(blocks, lattice, f))
 
@@ -540,9 +578,8 @@ def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:
 class SystemSpectra:
     """The spectra of one window on one lattice.  Two are decomposed on
     first use and then kept, singular values (descending) of C, from the
-    dense matrix, and of D, from one batched SVD of the window factor's
-    ``sigma = 0`` fiber, which is built and dropped; the eigenvalues
-    (ascending) of S and G are D's squared, padded anew on each read.
+    dense matrix, and of D, from one batched SVD of the fiber, built and
+    dropped; the eigenvalues (ascending) of S and G are D's squared.
     ``table`` maps each lattice to the window's live entry there
     (:meth:`on`), so each spectrum is computed once per (window, lattice);
     :attr:`adjoint` is the adjoint lattice's entry.  The table holds its
@@ -572,7 +609,7 @@ class SystemSpectra:
 
     def _squared_synthesis(self, size, what):
         """:attr:`synthesis` squared, ascending, after ``size - min(L, n)`` zeros."""
-        _guard_dense(_factor_sizes(self.lattice)[2] * self.lattice.L + size, what)
+        _guard_dense(self.lattice.L + size, what)
         svals = self.synthesis
         return np.concatenate([np.zeros(size - svals.size), svals[::-1] ** 2])
 
@@ -594,11 +631,10 @@ class SystemSpectra:
     def synthesis(self) -> np.ndarray:
         """D's ``min(L, n)`` singular values: the ``sigma = 0`` fiber's, each q times."""
         lattice = self.lattice
-        q = _factor_sizes(lattice)[2]
-        _guard_dense(q * lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
-        blocks, scale = _window_factor(self.g, lattice)
-        fiber = scale * _svd(blocks[:, 0], "synthesis blocks", compute_uv=False)
-        return np.repeat(np.sort(fiber, axis=None)[::-1], q)
+        _guard_dense(lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
+        fiber, scale = _fiber(self.g, lattice)
+        svals = scale * _svd(fiber, "synthesis blocks", compute_uv=False)
+        return np.repeat(np.sort(svals, axis=None)[::-1], _factor_sizes(lattice)[2])
 
 
 def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:
@@ -619,7 +655,9 @@ def operator_norms(g, lattice: SeparableLattice, *, spectra=None) -> dict:
     """Operator norms of C, D, S, G plus the l1 autocorrelation row sum.
     All four are the largest singular value of the synthesis blocks or its
     square, as ``C = D^H``, ``S = D D^H`` and ``G = D^H D``; no matrix is
-    built, and the tests check the four against the dense matrices."""
+    built, and the tests check the four against the dense matrices.  The
+    autocorrelation grid, n entries, is charged to the cap."""
+    _guard_dense(lattice.cardinality, "autocorrelation grid")
     spectra = _spectra_for(g, lattice, spectra)
     norm_d = float(spectra.synthesis[0])
     acf = shift_autocorrelation(g, lattice)

@@ -40,9 +40,10 @@ from .gallery import (
     save_window,
 )
 from .lattice import FiniteModel, SeparableLattice, _length_fault, _step_fault
-from .operators import SystemSpectra, Window, frame_operator_apply, operator_norms, synthesis_map
+from .operators import SystemSpectra, Window, _synthesis_kernel, frame_operator_apply
+from .operators import operator_norms, synthesis_map
 from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff, _rank
-from .twisted import index_commutative, janssen_coefficients, kernel_basis
+from .twisted import index_commutative, janssen_coefficients
 
 SCHEMA_VERSION = "1"
 
@@ -179,9 +180,8 @@ def _task_janssen(g, lattice, config, rng, spectra):
 
 def _task_dual_window(g, lattice, config, rng, spectra):
     dual = wexler_raz_dual(g, lattice, config.tol_scale, spectra=spectra)
-    signals = [
-        rng.standard_normal(lattice.L) + 1j * rng.standard_normal(lattice.L) for _ in range(8)
-    ]
+    L = lattice.L  # the signals are drawn one at a time, after the residual's guard
+    signals = (rng.standard_normal(L) + 1j * rng.standard_normal(L) for _ in range(8))
     return {
         "biorthogonality_residual": wexler_raz_residual(dual, g, lattice),
         "biorthogonality_constant": lattice.covolume,
@@ -192,13 +192,13 @@ def _task_dual_window(g, lattice, config, rng, spectra):
 
 
 def _task_kernel(g, lattice, config, rng, spectra):
+    """The adjoint kernel basis, synthesized as the stack it is built as."""
     adjoint = lattice.adjoint()
-    basis = kernel_basis(g, adjoint, config.tol_scale, spectra=spectra.adjoint)
-    stack = np.array([seq.values for seq in basis]).reshape(-1, *adjoint.grid_shape)
+    stack = _synthesis_kernel(g, adjoint, config.tol_scale, spectra.adjoint)
     images = synthesis_map(g, adjoint, stack)
     witnesses = np.linalg.norm(images, axis=1) / np.linalg.norm(stack, axis=(1, 2))
     return {
-        "dimension": len(basis),
+        "dimension": len(stack),
         "witness_residuals": [float(w) for w in witnesses],
         "adjoint_lattice": {"a": adjoint.a, "b": adjoint.b},
     }
@@ -350,6 +350,10 @@ def sweep(base: AnalysisConfig, pairs=None):
     base.validate()
     if pairs is None:
         pairs = divisor_pairs(base.length)
+    try:
+        pairs = [(a, b) for a, b in pairs]
+    except (TypeError, ValueError):
+        raise ConfigError("pairs", f"needs a sequence of (a, b) pairs, got {pairs!r}") from None
     for a, b in pairs:
         base._check_steps(a, b)
 

@@ -19,9 +19,8 @@ grids, the type the coefficient map returns and the synthesis map accepts.
 ``kernel_basis`` is an orthonormal basis of the nullspace of the synthesis
 map (a module under #), and ``index_commutative`` counts the characters in
 it on a commuting lattice -- zero exactly when the dual-side system is a
-frame.  Both read what :mod:`gaborkit.operators` computes from the window
-factor, the null vectors and the synthesis spectrum; this module never
-sees the factor.
+frame.  Both read the null vectors and the synthesis spectrum that
+:mod:`gaborkit.operators` computes; this module never sees the factor.
 """
 
 from __future__ import annotations
@@ -30,14 +29,8 @@ import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
 from .lattice import SeparableLattice, TwistedSequence, root_of_unity
-from .operators import (
-    _guard_dense,
-    _spectra_for,
-    _svd,
-    _synthesis_kernel,
-    _twisted_matrix,
-    shift_autocorrelation,
-)
+from .operators import _guard_dense, _spectra_for, _svd, _synthesis_kernel, _twisted_matrix
+from .operators import shift_autocorrelation
 from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _rank, rank_tolerance
 
 
@@ -121,16 +114,13 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
 
 def kernel_basis(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None):
     """Orthonormal basis of the nullspace of the synthesis map on
-    ``lattice`` at the lattice cutoff, empty when the map is injective: the
-    window-factor blocks' left null vectors past their rank at that cutoff
-    (:func:`gaborkit.operators._synthesis_kernel`), which also fill
-    ``synthesis`` in ``spectra``, the window's entry on ``lattice``.  A
-    witness ``|D x|`` can reach the cutoff times sigma_max (5.4e-6 for the
-    Gaussian at L = 24 on (1, 24)); the basis is empty exactly when the
-    harness on the adjoint lattice finds (viii).
-
-    Raises :class:`MemoryGuardError` when the block SVD or the basis
-    (dimension times ``max(L, n)`` entries) would exceed the dense entry cap.
+    ``lattice`` at the lattice cutoff, empty exactly when the harness on the
+    adjoint lattice finds (viii): the sigma = 0 fiber's left null vectors,
+    moved to every sigma (:func:`gaborkit.operators._synthesis_kernel`),
+    whose SVD also fills ``synthesis`` in ``spectra``.  A witness ``|D x|``
+    can reach the cutoff times sigma_max (5.4e-6 for the Gaussian at L = 24
+    on (1, 24)).  Raises :class:`MemoryGuardError` when the fiber SVD or the
+    basis (dimension times ``max(L, n)`` entries) would exceed the cap.
     """
     grids = _synthesis_kernel(g, lattice, tol_scale, spectra)
     return [TwistedSequence(grid, lattice) for grid in grids]

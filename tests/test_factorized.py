@@ -40,9 +40,12 @@ from gaborkit import (
 )
 from gaborkit import diagnostics, operators, reporting
 from gaborkit.cli import main
+from gaborkit.lattice import root_of_unity
 from gaborkit.operators import (
     _analyze,
+    _covariance,
     _factor_sizes,
+    _fiber,
     _painless_span,
     _synthesize,
     _unzak,
@@ -129,6 +132,48 @@ def test_window_factor_matches_the_translate_form(lattices):
             assert table.size <= (extra + 1) * lat.L, where
         assert np.abs(blocks - want).max() <= 1e-12 * np.abs(want).max(), where
         assert scale == math.sqrt(lat.n_freq / _factor_sizes(lat)[1]), where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_fiber_is_the_sigma_zero_slice_of_the_factor(L):
+    # One FFT, one gather and one phase, L entries, on every corner of the
+    # quasi-periodicity: p > q > 1, q > p > 1, p = 1 and q = 1.
+    rng = np.random.default_rng(900 + L)
+    for lat in divisor_lattices(L):
+        c, p, q, d = _factor_sizes(lat)
+        g = random_signal(rng, L)
+        fiber, scale = _fiber(g, lat)
+        blocks, factor_scale = _window_factor(g, lat)
+        where = f"(L, a, b) = {(L, lat.a, lat.b)}"
+        assert fiber.shape == (d, c, q, p) and fiber.size == L, where
+        assert scale == factor_scale, where
+        for want in (blocks[:, 0], translate_window_factor(L, lat.a, lat.b, g)[:, 0]):
+            assert np.abs(fiber - want).max() <= 1e-13 * np.abs(want).max(), where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_every_sigma_is_the_fiber_up_to_unitaries(L):
+    # Block sigma is R W0 B: the fiber's rows permuted and phased in nu1,
+    # times one diagonal of column phases B, so its Gram block is
+    # B^H (W0^H W0) B.
+    rng = np.random.default_rng(1000 + L)
+    for lat in divisor_lattices(L):
+        c, p, q, d = _factor_sizes(lat)
+        g = random_signal(rng, L)
+        fiber, _ = _fiber(g, lat)
+        want = translate_window_factor(L, lat.a, lat.b, g)  # [nu1, sigma, rho, k0, nu2]
+        where = f"(L, a, b) = {(L, lat.a, lat.b)}"
+        rows, dj = _covariance(lat, np.arange(q)[:, None], np.arange(q))  # [sigma, k0]
+        assert np.array_equal(dj % p, np.broadcast_to(dj[:, :1] % p, dj.shape)), where
+        row_phase = root_of_unity(-np.arange(d)[:, None, None] * dj, lat.b)  # [nu1, sigma, k0]
+        column_phase = root_of_unity(-np.outer(dj[:, 0], np.arange(p)), p)  # [sigma, nu2]
+        moved = fiber[:, :, rows].transpose(0, 2, 1, 3, 4)
+        got = row_phase[:, :, None, :, None] * moved * column_phase[:, None, None, :]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), where
+        gram = np.conj(want).swapaxes(-1, -2) @ want
+        fiber_gram = (np.conj(fiber).swapaxes(-1, -2) @ fiber)[:, None]
+        got = np.conj(column_phase)[:, None, :, None] * fiber_gram * column_phase[:, None, None, :]
+        assert np.abs(got - gram).max() <= 1e-13 * np.abs(gram).max(), where
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
@@ -384,7 +429,9 @@ def test_kernel_basis_matches_dense_on_every_divisor_lattice(L):
             # principal angle to the dense nullspace is the basis's reach
             # into D's row space.
             assert np.linalg.norm(vh[:rank] @ basis.T, 2) <= 1e-10, where
-            assert np.linalg.norm(D @ basis.T, axis=0).max() <= 1e-10, where
+            witnesses = np.linalg.norm(D @ basis.T, axis=0)
+            assert witnesses.max() <= 1e-10, where
+            assert witnesses.max() <= (lattice_cutoff(lat) + 1e-14) * svals[0], where
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
@@ -448,16 +495,17 @@ def test_kernel_command_builds_no_dense_matrix(monkeypatch, capsys, length, latt
 
 
 def test_kernel_basis_memory_guard(monkeypatch, capsys):
-    # Adjoint (2, 2) of (8, 8) at L = 16: n = 64, q = 4, so the block SVD
-    # holds 64*4 + 16*1 = 272 entries and the kernel basis 48 x 64 = 3072.
+    # Adjoint (2, 2) of (8, 8) at L = 16: n = 64, (p, q) = (1, 4), so the
+    # fiber SVD holds the fiber's 16 entries, U's 64 and V^H's 16/4*1 = 4,
+    # 84 in all, and the kernel basis 48 x 64 = 3072.
     g = random_unit_window(np.random.default_rng(9), 16)
     lat = SeparableLattice(16, 2, 2)
     assert len(kernel_basis(g, lat)) == 48
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 3071)
     with pytest.raises(MemoryGuardError, match="kernel basis would need 3072 entries"):
         kernel_basis(g, lat)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 271)
-    with pytest.raises(MemoryGuardError, match="kernel block SVD would need 272 entries"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 83)
+    with pytest.raises(MemoryGuardError, match="kernel block SVD would need 84 entries"):
         kernel_basis(g, lat)
     assert main(["kernel", "--length", "16", "--lattice", "8,8"]) == 1
     err = capsys.readouterr().err
@@ -563,57 +611,68 @@ def test_synthesis_decomposes_only_the_sigma_zero_fiber(rng, linalg_calls, L, a,
     assert svd == [(d, c, q, p)]
 
 
+@pytest.mark.parametrize("L, a, b", [(48, 8, 4), (12, 4, 4), (24, 4, 2), (16, 4, 8), (24, 3, 6)])
+def test_kernel_decomposes_only_the_sigma_zero_fiber(rng, linalg_calls, L, a, b):
+    # One SVD with vectors of the fiber's d*c blocks, not of the factor's
+    # d*q*c; every sigma's null vectors are the fiber's moved by R.  It
+    # also fills the synthesis spectrum, so the index adds no decomposition.
+    lat = SeparableLattice(L, a, b)
+    c, p, q, d = _factor_sizes(lat)
+    svd = linalg_calls("svd")["svd"]
+    spectra = SystemSpectra(random_unit_window(rng, L), lat)
+    basis = kernel_basis(spectra.g, lat, spectra=spectra)
+    svals = spectra.synthesis
+    assert len(basis) == lat.cardinality - np.sum(svals > lattice_cutoff(lat) * svals[0])
+    assert svd == [(d, c, q, p)]
+
+
 def test_synthesis_blocks_memory_guard(monkeypatch):
-    # (1, 1) at L = 4096: q = 4096, so the factor alone holds 4096^2 entries
-    # and the 4096 singular values tip it over the cap; refused before the
-    # factor is built.
-    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 16781312 entries"):
-        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).synthesis
-    # (2, 2) at L = 16: q = 4, so the window factor holds 4*16 = 64 entries
-    # and D has min(16, 64) = 16 singular values.
+    # (1, 1) at L = 4096: q = 4096, but the fiber holds L entries and D has
+    # L singular values, so 2*L fit far under the cap.
+    assert SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).synthesis.shape == (4096,)
+    # (2, 2) at L = 16: the fiber holds 16 entries and D has min(16, 64) = 16
+    # singular values.
     g = random_unit_window(np.random.default_rng(13), 16)
     lat = SeparableLattice(16, 2, 2)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 80)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 32)
     assert SystemSpectra(g, lat).synthesis.shape == (16,)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 79)
-    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 80 entries"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 31)
+    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 32 entries"):
         SystemSpectra(g, lat).synthesis
 
 
 def test_gramian_blocks_memory_guard(monkeypatch):
-    # (1, 1) at L = 4096: q = 4096, so the factor and the n eigenvalues
-    # need 2 * 4096^2 entries; refused before anything is allocated.
-    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 33554432 entries"):
+    # (1, 1) at L = 4096: the fiber and the n = 4096^2 eigenvalues need
+    # 4096 + 4096^2 entries; refused before anything is allocated.
+    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 16781312 entries"):
         SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).gramian
-    # (2, 2) at L = 16: q = 4, so the window factor holds 4*16 = 64 entries
-    # and G has n = 64 eigenvalues.
+    # (2, 2) at L = 16: the fiber holds 16 entries and G has n = 64 eigenvalues.
     g = random_unit_window(np.random.default_rng(11), 16)
     lat = SeparableLattice(16, 2, 2)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 128)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 80)
     assert SystemSpectra(g, lat).gramian.shape == (64,)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
-    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 128 entries"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 79)
+    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 80 entries"):
         SystemSpectra(g, lat).gramian
 
 
 def test_frame_spectrum_and_dual_memory_guards(monkeypatch):
-    # (1, 1) at L = 4096: the factor and the L eigenvalues of S need
-    # 4096^2 + 4096 entries; refused before the factor is built.
-    with pytest.raises(MemoryGuardError, match="frame spectrum would need 16781312 entries"):
-        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).frame
-    # (8, 4) at L = 48: (p, q) = (2, 3), so the factor holds 3*48 entries,
-    # S has 48 eigenvalues and the dual's p x p blocks hold 2*48 entries.
+    # (1, 1) at L = 4096: the fiber and the L eigenvalues of S, 2*L entries.
+    assert SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).frame.shape == (4096,)
+    # (8, 4) at L = 48: (c, p, q, d) = (4, 2, 3, 2), so the fiber holds 48
+    # entries and S has 48 eigenvalues; the dual holds the fiber, the Zak
+    # transform of g (48 each) and d*c = 8 Gram blocks of 2 x 2, 128 in all.
     g = random_unit_window(np.random.default_rng(17), 48)
     lat = SeparableLattice(48, 8, 4)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 192)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 96)
     assert SystemSpectra(g, lat).frame.shape == (48,)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 191)
-    with pytest.raises(MemoryGuardError, match="frame spectrum would need 192 entries"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 95)
+    with pytest.raises(MemoryGuardError, match="frame spectrum would need 96 entries"):
         SystemSpectra(g, lat).frame
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 240)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 128)
     assert wexler_raz_dual(g, lat).samples.shape == (48,)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 239)
-    with pytest.raises(MemoryGuardError, match="frame blocks would need 240 entries"):
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
+    with pytest.raises(MemoryGuardError, match="frame blocks would need 128 entries"):
         wexler_raz_dual(g, lat)
 
 
@@ -677,7 +736,8 @@ def test_dual_matches_dense_solve_on_every_divisor_lattice(L):
 def test_dual_command_builds_no_s_and_solves_only_blocks(
     monkeypatch, linalg_calls, capsys, length, lattice
 ):
-    # (c, p, q, d) = (4, 2, 3, 2), (4, 1, 3, 3) and (1, 1, 2, 12).
+    # (c, p, q, d) = (4, 2, 3, 2), (4, 1, 3, 3) and (1, 1, 2, 12): one solve
+    # of the fiber's d*c Gram blocks of p x p, every sigma a right-hand side.
     builds = []
     real_build = operators.frame_operator_matrix
 
@@ -695,4 +755,4 @@ def test_dual_command_builds_no_s_and_solves_only_blocks(
     lat = SeparableLattice(int(length), *map(int, lattice.split(",")))
     c, p, q, d = _factor_sizes(lat)
     assert builds == []
-    assert solved == [(d, q, c, p, p)]
+    assert solved == [(d, c, p, p)]

@@ -17,13 +17,20 @@ from gaborkit import (
     GaborkitError,
     LatticeError,
     SeparableLattice,
+    ShapeMismatchError,
+    Window,
     WindowRecipe,
+    check_all_conditions,
+    frame_bounds,
     gaussian_alternating_kernel_probe,
     janssen_coefficients,
     make_window,
     partition_of_unity_deviation,
     partition_of_unity_kernel,
     periodized_gaussian,
+    reconstruction_residual,
+    sweep,
+    wexler_raz_dual,
 )
 from gaborkit.tolerances import _lattice_cutoff
 from conftest import random_unit_window
@@ -188,3 +195,32 @@ def test_periodized_gaussian_reads_the_length_rule(L):
     with pytest.raises(LatticeError, match="signal length must be an integer >= 2"):
         periodized_gaussian(L)
     assert periodized_gaussian(np.int64(16)).shape == (16,)
+
+
+def test_a_zero_signal_is_refused_by_its_index():
+    # A zero signal has no relative error; as a nan, max() would drop it.
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(16))
+    lat = SeparableLattice(16, 2, 2)
+    dual = wexler_raz_dual(g, lat)
+    with pytest.raises(ShapeMismatchError, match="signal 1 is zero"):
+        reconstruction_residual(g, dual, lat, [np.ones(16), np.zeros(16), np.ones(16)])
+    assert reconstruction_residual(g, dual, lat, [np.ones(16)]) <= 1e-12
+
+
+@pytest.mark.parametrize("pairs", [[(1,)], [(1, 2, 3)], [4], 4, [None]])
+def test_sweep_refuses_pairs_that_are_not_pairs(pairs):
+    with pytest.raises(ConfigError, match="pairs: needs a sequence of"):
+        sweep(AnalysisConfig(length=12, a=1, b=1, window="delta"), pairs=pairs)
+
+
+def test_sweep_takes_pairs_from_a_generator():
+    rows = sweep(AnalysisConfig(length=12, a=1, b=1), pairs=((a, 12 // a) for a in (2, 3)))
+    assert [(row["a"], row["b"]) for row in rows] == [(2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize("window", ["abc", ["1", "x"], {"a": 1}])
+def test_a_window_that_is_not_numbers_is_a_shape_mismatch(window):
+    lat = SeparableLattice(12, 3, 4)
+    for call in (check_all_conditions, frame_bounds, lambda g, lat: Window(g), Window.unit):
+        with pytest.raises(ShapeMismatchError, match="window samples must be numbers"):
+            call(window, lat)

@@ -14,6 +14,7 @@ from gaborkit import (
     SeparableLattice,
     SystemSpectra,
     NotAFrameError,
+    ShapeMismatchError,
     Window,
     divisor_pairs,
     duality_check,
@@ -24,8 +25,10 @@ from gaborkit import (
     run,
     save_window,
     sweep,
+    synthesis_map,
     wexler_raz_dual,
 )
+from gaborkit import reporting
 from gaborkit.reporting import TASKS, consistency_alarm, jsonable
 from conftest import fiber_block_shape, random_signal
 from fixtures import CRITICAL_L16_FRAME_UPPER
@@ -152,12 +155,53 @@ def test_run_index_noncommutative_surrogate():
     assert entry["kernel_dimension_surrogate"] >= 12
 
 
+def test_kernel_task_synthesizes_the_stack_it_is_built_as(monkeypatch):
+    # No list of sequences is built and stacked again: the synthesis map
+    # gets the very array of null vectors, and the witnesses are those of
+    # the kernel basis.
+    built, given = [], []
+
+    def kernel(*args, _real=reporting._synthesis_kernel):
+        built.append(_real(*args))
+        return built[-1]
+
+    def synthesize(g, lattice, coeffs, _real=reporting.synthesis_map):
+        given.append(coeffs)
+        return _real(g, lattice, coeffs)
+
+    monkeypatch.setattr(reporting, "_synthesis_kernel", kernel)
+    monkeypatch.setattr(reporting, "synthesis_map", synthesize)
+    config = AnalysisConfig(length=24, a=6, b=6, window="random", tasks=("kernel",))
+    result = run(config).results["kernel"]
+    assert len(built) == len(given) == 1 and given[0] is built[0]
+    g, adjoint = config.build_window(), config.lattice().adjoint()
+    basis = kernel_basis(g, adjoint)
+    assert result["dimension"] == len(basis) >= 12
+    want = [np.linalg.norm(synthesis_map(g, adjoint, seq)) / seq.norm2() for seq in basis]
+    assert np.abs(np.array(result["witness_residuals"]) - want).max() <= 1e-15
+
+
 def test_window_roundtrip(tmp_path, rng):
     path = tmp_path / "w.txt"
     samples = random_signal(rng, 16)
     save_window(path, samples)
     back = load_window(path)
     assert np.array_equal(back, samples)
+
+
+def test_window_file_is_the_per_sample_format(tmp_path, rng):
+    # One pass over all samples writes what one ``.17g`` line per sample did.
+    special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.2250738585072009e-308),
+               complex(1.7976931348623157e308, -1e300), complex(0.1, 1 / 3), complex(-1e16, 123.0)]
+    samples = np.concatenate([random_signal(rng, 64), special, random_signal(rng, 8) * 1e-310])
+    path = tmp_path / "w.txt"
+    for window in (samples, samples[::2], samples.real, list(special)):
+        save_window(path, window)
+        want = "".join(f"{v.real:.17g}\t{v.imag:.17g}\n" for v in np.asarray(window, complex))
+        assert path.read_text() == want
+        assert np.array_equal(load_window(path), np.asarray(window, complex))
+    with pytest.raises(ShapeMismatchError, match=r"one vector, got shape \(2, 2\)"):
+        save_window(path, np.ones((2, 2)))
 
 
 def test_run_with_window_file(tmp_path, rng):

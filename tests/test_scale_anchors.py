@@ -13,14 +13,26 @@ Sondergaard, "Gabor frames by sampling and periodization", 2007).  By the
 Ron-Shen / Janssen duality they are the extreme eigenvalues of the Gramian
 on the adjoint lattice ``(2n, 2n)``.
 
+On ``(2m, m)`` with ``L = 3*m**2`` (redundancy 3/2, ``p = 2``) the same
+window's frame bounds do not depend on m either, which checks the fiber
+where each block has two columns.
+
 A painless window, whose support is at most ``M = L/b``, has a diagonal
 frame operator, the Walnut diagonal ``M * sum_k |g(t - k*a)|**2``, so the
 frame bounds and the squared extreme singular values of the synthesis map
 are its extremes, and the canonical dual is the window divided by that
 diagonal.
+
+At ``L = 2**20`` the spectra, the kernel and the dual read only the L
+entries of the ``sigma = 0`` fiber, and each function that holds an n-entry
+grid charges it, so a command refuses before that grid exists.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,13 +48,21 @@ from gaborkit import (
     kernel_basis,
     make_window,
     synthesis_map,
+    wexler_raz_dual,
 )
 from gaborkit.cli import main
-from gaborkit.operators import _frame_inverse_apply
+from gaborkit.operators import _factor_sizes, _frame_inverse_apply
 
 #: Frame bounds over redundancy of the periodized Gaussian on (n, n), L = 2n^2.
 GAUSSIAN_A_OVER_R = 0.83462684167407
 GAUSSIAN_B_OVER_R = 1.1803405990161
+
+#: Frame bounds of the periodized Gaussian on (2m, m), L = 3m^2, at every even
+#: m from 4 to 256 within 3.2e-15 (worst at m = 8).
+GAUSSIAN_LADDER_LOWER = 0.602904396366939
+GAUSSIAN_LADDER_UPPER = 2.45099542861082
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("L", [16384, 65536])
@@ -168,3 +188,75 @@ def test_painless_dual_is_the_window_over_the_walnut_diagonal(recipe, L, a, b):
     want = g.samples / np.tile(walnut, L // a)
     got = _frame_inverse_apply(g, lattice, g.samples)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 16, 22, 32, 64, 96, 128, 256])
+def test_gaussian_ladder_with_two_fiber_columns(m):
+    # (c, p, q, d) = (m, 2, 3, m/2); at m = 256, L = 196608.
+    L = 3 * m * m
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(L))
+    lattice = SeparableLattice(L, 2 * m, m)
+    assert _factor_sizes(lattice) == (m, 2, 3, m // 2)
+    bounds = frame_bounds(g, lattice)
+    assert abs(bounds.frame_lower - GAUSSIAN_LADDER_LOWER) <= 4e-15
+    assert abs(bounds.frame_upper - GAUSSIAN_LADDER_UPPER) <= 4e-15
+
+
+def test_painless_bounds_and_dual_at_a_million_samples():
+    # q = 64 and n = 2^26 atoms: the frame operator would have 2^40 entries,
+    # and the window factor q*L = 2^26, four times the cap.
+    L = 2**20
+    g, lattice, walnut = painless_system("bspline:2:64", L, 64, 256)
+    assert _factor_sizes(lattice)[1:3] == (1, 64)
+    bounds = frame_bounds(g, lattice)
+    assert bounds.frame_lower == pytest.approx(walnut.min(), rel=1e-13)
+    assert bounds.frame_upper == pytest.approx(walnut.max(), rel=1e-13)
+    want = g.samples / np.tile(walnut, L // lattice.a)
+    got = wexler_raz_dual(g, lattice).samples
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_commands_at_a_million_samples_stop_before_any_full_grid(capsys):
+    # On (64, 128), n = 2^27: the index reads the adjoint's fiber and runs;
+    # the autocorrelation of the bounds task and the reconstruction round
+    # trips of the dual would each hold an n-entry grid, 2 GiB, and refuse.
+    argv = ["--length", "1048576", "--lattice", "64,128"]
+    assert main(["analyze", *argv, "--tasks", "index"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["index"]["index"] == 0
+    for command, grid in ((["analyze", *argv, "--tasks", "bounds"], "autocorrelation"),
+                          (["dual", *argv], "reconstruction")):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grid} grid would need 134217728 entries"), err
+        assert "Traceback" not in err
+
+
+# The peak is the child's VmHWM, which starts afresh at exec; its ru_maxrss
+# would keep the forking test process's.
+FRAME_BOUNDS_CHILD = """
+import re, sys, time
+from gaborkit import FiniteModel, SeparableLattice, WindowRecipe, frame_bounds, make_window
+L, a, b = map(int, sys.argv[1:])
+g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(L))
+start = time.perf_counter()
+frame_bounds(g, SeparableLattice(L, a, b))
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    print(seconds, int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1)) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+@pytest.mark.parametrize(
+    "a,b", [(64, 128), (256, 512), (32, 32), (64, 1024), (1024, 64), (512, 512)]
+)
+def test_frame_bounds_at_a_million_samples_in_a_child(a, b):
+    # The fiber holds L = 2^20 entries whatever q is (up to 1024 here); the
+    # peak is the child's, numpy included.  Measured 0.06-0.48 s and 86 MiB.
+    done = subprocess.run(
+        [sys.executable, "-c", FRAME_BOUNDS_CHILD, "1048576", str(a), str(b)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    seconds, peak_mib = map(float, done.stdout.split())
+    assert peak_mib < 200, f"peak {peak_mib:.0f} MiB"
+    assert seconds < 5, f"{seconds:.2f} s"

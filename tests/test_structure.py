@@ -4,7 +4,8 @@ only ``twisted.twisted_invert`` calls ``rank_tolerance``.  Read from the
 source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
 the value.  A spectra entry keeps only its two decompositions, and the
-zero-padded S and G spectra derived from them have two readers."""
+zero-padded S and G spectra derived from them have two readers.  Only the
+maps read the window factor; the rest reads its sigma = 0 fiber."""
 
 import ast
 from pathlib import Path
@@ -123,3 +124,18 @@ def test_padded_spectra_have_two_readers():
     # the padded S and G spectra are for the duality record and the CSV.
     readers = set(_found(lambda: _Reads({"frame", "gramian"})))
     assert readers == {("diagnostics", "duality_check"), ("reporting", "_write_spectra")}
+
+
+def test_only_the_maps_read_the_window_factor():
+    # The spectra, the kernel and the dual read the sigma = 0 fiber alone;
+    # frame_operator_apply keeps the whole factor, so it checks the dual.
+    assert set(calls("_window_factor")) == {
+        ("operators", "coefficient_map"),
+        ("operators", "synthesis_map"),
+        ("operators", "frame_operator_apply"),
+    }
+    assert set(calls("_fiber")) == {
+        ("operators", "SystemSpectra.synthesis"),
+        ("operators", "_synthesis_kernel"),
+        ("operators", "_frame_inverse_apply"),
+    }
