@@ -44,12 +44,9 @@ def _parse_lattice(text):
 
 def _parse_pairs(text):
     try:
-        pairs = [_parse_lattice(chunk) for chunk in text.split(";") if chunk.strip()]
+        return [_parse_lattice(chunk) for chunk in text.split(";") if chunk.strip()]
     except argparse.ArgumentTypeError as err:
         raise ConfigError("pairs", str(err)) from None
-    if not pairs:
-        raise ConfigError("pairs", f"{text!r} names no lattice")
-    return pairs
 
 
 def _add_common(parser, lattice=True):

@@ -15,6 +15,8 @@ inequality.
 
 from __future__ import annotations
 
+import contextlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,26 +117,31 @@ def save_window(path, samples) -> None:
 
 
 def load_window(path) -> np.ndarray:
-    """Read a window saved by :func:`save_window` (re/im columns; ``#``
-    comments and blank lines are skipped)."""
-    values = []
+    """Read a window saved by :func:`save_window` in one parse: re/im columns,
+    ``#`` comments and blank lines skipped, and a refused file's bad line named."""
     try:
-        handle = open(path)
+        with open(path) as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file of no samples
+            samples = np.loadtxt(handle, "f8,f8", comments="#", ndmin=1).view(complex)
     except OSError as err:
         raise ConfigError("window", f"cannot read window file {path!r}: {err}")
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError("window", f"bad line in window file {path!r}: {line!r}")
-            values.append(complex(float(parts[0]), float(parts[1])))
-    samples = np.array(values, dtype=complex)
+    except ValueError as err:
+        line = _first_bad_line(path) or str(err)
+        raise ConfigError("window", f"bad line in window file {path!r}: {line!r}") from None
     if not np.all(np.isfinite(samples)):
         raise ConfigError("window", f"window file {path!r} has non-finite samples")
     return samples
+
+
+def _first_bad_line(path):
+    """The first line, stripped, that is not blank, a comment or two numbers."""
+    with open(path) as handle:
+        for line in handle:
+            parts = line.partition("#")[0].split()
+            with contextlib.suppress(ValueError):
+                if not parts or len(parts) == 2 and [float(part) for part in parts]:
+                    continue
+            return line.strip()
 
 
 def periodized_gaussian(L: int) -> np.ndarray:

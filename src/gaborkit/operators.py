@@ -13,9 +13,10 @@ routes are tested against (``notes/decisions.md``).
 The matrix-free maps have two routes, chosen by the window's exact zeros
 alone.  A painless window (Daubechies-Grossmann-Meyer), whose nonzeros lie
 in one circular interval of at most ``M = L/b`` samples, meets each
-frequency period once, so every coefficient is one product and each time
-row one length-M FFT (:func:`_painless_analyze`).  Every other window goes
-through the Zak domain (Zibulski-Zeevi; LTFAT's ``comp_wfac``).  With
+frequency period once, so the grid is one product, one length-M FFT per
+time row and one phase (:func:`_painless_analyze`), and beside their grids
+the painless maps hold O(L) entries.  Every other window goes through the
+Zak domain (Zibulski-Zeevi; LTFAT's ``comp_wfac``).  With
 ``M = L/b`` and ``N = L/a`` the block sizes are
 
     c = gcd(a, M),   p = a/c,   q = M/c,   d = N/q = b/p,
@@ -26,8 +27,7 @@ conjugated Zak transforms (:func:`_zak`) of the first q window translates;
 :func:`_window_factor` reads them all from one Zak table of the window and
 returns them as a strided view of it, ``(T + 1)*L`` entries with
 ``T <= q - 1`` and ``T = 1`` when ``p = 1 < q``, so no map holds the q*L
-entries of the blocks themselves.  Beside their grids, the painless maps
-hold O(L) entries.
+entries of the blocks themselves.
 
 This module is the one owner of that layout.  The maps run the factor on
 the Zak transform of the signal, as :func:`frame_operator_apply` does for
@@ -372,63 +372,57 @@ def _painless_span(g, lattice):
     return s0, g[(s0 + np.arange(M)) % L]
 
 
-def _painless_layout(lattice, s0):
-    """Where the painless maps meet the signal's periods ``f(P*M + r)``,
-    ``r < M``, for a window supported in ``[s0, s0 + M)``.
-
-    Row ``k = k2*q + i`` of the grid starts at ``k*a + s0 =
-    (k2*p + B_i)*M + e_i``, as ``q*a = p*M``, so for ``r < e_i`` it meets
-    period ``k2*p + B_i + 1`` and for ``r >= e_i`` period ``k2*p + B_i``,
-    mod b, each against ``window[(r - e_i) mod M]``.  As ``p*d = b``, the d
-    rows of a part meet periods ``start + p*k2`` mod b in two strided runs.
-    Yields ``(i, parts)``, each part ``(columns, window columns, runs)`` and
-    each run ``(rows, periods)``."""
-    _, p, q, d = _factor_sizes(lattice)
-    M = lattice.n_freq
-    for i in range(q):
-        B, e = divmod(s0 + i * lattice.a, M)
-        head, tail = slice(e), slice(e, M)  # the columns r < e_i and r >= e_i
-        parts = []
-        for cols, wcols, at in ((head, slice(M - e, M), B + 1), (tail, slice(M - e), B)):
-            at %= lattice.b
-            split = d - at // p  # the rows before the run wraps past period b
-            runs = (slice(split), slice(at, None, p)), (slice(split, d), slice(at % p, at, p))
-            parts.append((cols, wcols, runs))
-        yield i, parts
+@lru_cache(maxsize=16)
+def _roll_phase(M, a, e0):
+    """``exp(-2*pi*i*e_i*l/M)``, ``e_i = (e0 + i*a) mod M``, shape (q, M),
+    read-only; None when it is all ones (``q = 1`` and ``e0 = 0``)."""
+    q = M // math.gcd(a, M)
+    if q == 1 and e0 == 0:
+        return None
+    phase = root_of_unity(-np.outer((e0 + a * np.arange(q)) % M, np.arange(M)), M)
+    phase.flags.writeable = False
+    return phase
 
 
 def _painless_analyze(lattice, s0, window, f):
-    """:func:`_analyze` for a window whose support lies in ``[s0, s0 + M)``,
-    with ``window = g[s0 : s0 + M]``: each coefficient is one product, a
-    strided one per run of :func:`_painless_layout`, then one in-place
-    length-M FFT per row."""
-    _, _, q, d = _factor_sizes(lattice)
-    periods = f.reshape(lattice.b, lattice.n_freq)
-    conj_window = np.conj(window)
-    grid = np.empty((d, q, lattice.n_freq), dtype=complex)  # [k2, i, r]
-    for i, parts in _painless_layout(lattice, s0):
-        for cols, wcols, runs in parts:
-            for rows, run in runs:
-                np.multiply(periods[run, cols], conj_window[wcols], out=grid[rows, i, cols])
-    grid = grid.reshape(lattice.grid_shape)
-    return np.fft.fft(grid, axis=1, out=grid)
+    """:func:`_analyze` when ``window = g[s0 : s0 + M]`` holds the support:
+    row k is the FFT of ``f(s0 + k*a + j) conj(window[j])`` times the phase
+    of a roll by ``(s0 + k*a) mod M``, set by ``k mod q`` (:func:`_roll_phase`)."""
+    L, a, M = lattice.L, lattice.a, lattice.n_freq
+    ext = f  # f from s0, circularly, and the M - a samples the last rows read past L
+    if s0 or M > a:
+        ext = np.empty(L + max(M - a, 0), dtype=complex)
+        ext[: L - s0], ext[L - s0 : L] = f[s0:], f[:s0]
+        ext[L:] = ext[: ext.size - L]
+    grid = np.multiply(_view(ext, 0, lattice.grid_shape, (a, 1)), np.conj(window))
+    np.fft.fft(grid, axis=1, out=grid)
+    if (phase := _roll_phase(M, a, s0 % M)) is not None:
+        np.multiply(slabs := grid.reshape(-1, *phase.shape), phase, out=slabs)
+    return grid
 
 
 def _painless_synthesize(lattice, s0, window, values):
     """The exact adjoint of :func:`_painless_analyze`, shape (..., L/a, L/b)
-    -> (..., L): per slab, a length-M inverse FFT (``norm`` "forward" is the
-    factor M) times the window, added run by run into the output."""
-    _, _, q, d = _factor_sizes(lattice)
-    lead = values.shape[:-2]
-    grid = values.reshape(*lead, d, q, lattice.n_freq)
-    signal = np.zeros((*lead, lattice.b, lattice.n_freq), dtype=complex)
-    for i, parts in _painless_layout(lattice, s0):
-        slab = np.fft.ifft(grid[..., i, :], axis=-1, norm="forward")
-        for cols, wcols, runs in parts:
-            slab[..., cols] *= window[wcols]
-            for rows, run in runs:
-                signal[..., run, cols] += slab[..., rows, cols]
-    return signal.reshape(*lead, lattice.L)
+    -> (..., L), per slab of rows ``k = i mod q``: the conjugate phase, an
+    inverse FFT (``norm`` "forward" is the factor M) and the window, added
+    into a view of an ``L + p*M - a`` buffer whose rows, ``q*a = p*M >= M``
+    apart, do not overlap; the tail past L folds back, then a roll by s0."""
+    L, a, M = lattice.L, lattice.a, lattice.n_freq
+    _, p, q, d = _factor_sizes(lattice)
+    grid = values.reshape(-1, d, q, M)
+    phase = _roll_phase(M, a, s0 % M)
+    size = L + p * M - a
+    signal = np.zeros((grid.shape[0], size), dtype=complex)
+    slab = np.empty((grid.shape[0], d, M), dtype=complex)
+    for i, rows in enumerate(grid.transpose(2, 0, 1, 3)):
+        rows = rows if phase is None else np.multiply(rows, np.conj(phase[i]), out=slab)
+        np.fft.ifft(rows, axis=-1, norm="forward", out=slab)
+        slab *= window
+        into = signal[:, i * a : i * a + d * p * M].reshape(-1, d, p * M)[:, :, :M]
+        into += slab
+    signal[:, : size - L] += signal[:, L:]
+    signal = signal[:, :L] if s0 == 0 else np.roll(signal[:, :L], s0, axis=-1)
+    return signal.reshape(*values.shape[:-2], L)
 
 
 def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
@@ -439,9 +433,9 @@ def coefficient_map(g, lattice: SeparableLattice, f) -> TwistedSequence:
     zeros alone:
 
     * painless: the nonzeros of ``g`` lie in one circular interval of at
-      most ``M = L/b`` samples.  Then each ``F[k, r]`` has one term, and
-      the map is ``n`` products and ``L/a`` FFTs of length M: work
-      O(n*log(M)), memory one grid and O(L) (:func:`_painless_analyze`).
+      most ``M = L/b`` samples.  Then each ``F[k, r]`` has one term: one
+      product over a strided view of ``f``, one length-M FFT per row and
+      one phase, work O(n*log(M)), memory one grid and O(L).
     * Zak: otherwise.  Splitting ``r = rho + c*sigma`` and
       ``k = k0 + q*k2`` turns the fold over ``m`` into the Zak transform
       of ``f`` times the window factor, summed over the ``p`` aliases
@@ -463,16 +457,15 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
     """Synthesize ``sum_{k,l} c[k, l] * shift((k*a, l*b)) g``.
 
     The exact adjoint of :func:`coefficient_map`, on the same route.  The
-    painless route is one inverse length-M FFT per time row and one
-    product per coefficient, added into the signal.  The Zak route runs
-    through the window factor: per time row an inverse length-M FFT, a
-    length-d FFT over ``k2``, the conjugated factor summed over ``k0``, and
-    an inverse Zak transform.  Each costs what its :func:`coefficient_map`
-    costs; the painless route runs its inverse FFTs one slab of L/p
-    entries at a time, so beside the grids it is given it holds O(L).  A
-    stack of coefficient grids, shape (..., L/a, L/b), gives one signal per
-    grid from one window; a :class:`TwistedSequence` must lie on
-    ``lattice``.
+    painless route takes one slab of L/p entries at a time, the rows ``k =
+    i mod q``: its conjugate phase, an inverse length-M FFT and the window,
+    added through one strided view into the signal, so beside the grids it
+    is given it holds O(L).  The Zak route runs through the window factor:
+    per time row an inverse length-M FFT, a length-d FFT over ``k2``, the
+    conjugated factor summed over ``k0``, and an inverse Zak transform.
+    Each costs what its :func:`coefficient_map` costs.  A stack of
+    coefficient grids, shape (..., L/a, L/b), gives one signal per grid
+    from one window; a :class:`TwistedSequence` must lie on ``lattice``.
     """
     if isinstance(coeffs, TwistedSequence):
         if coeffs.lattice != lattice:

@@ -179,6 +179,7 @@ def _task_janssen(g, lattice, config, rng, spectra):
 
 
 def _task_dual_window(g, lattice, config, rng, spectra):
+    reconstruction_residual(g, g, lattice, ())  # charges its grid before the dual is solved
     dual = wexler_raz_dual(g, lattice, config.tol_scale, spectra=spectra)
     L = lattice.L  # the signals are drawn one at a time, after the residual's guard
     signals = (rng.standard_normal(L) + 1j * rng.standard_normal(L) for _ in range(8))
@@ -354,6 +355,8 @@ def sweep(base: AnalysisConfig, pairs=None):
         pairs = [(a, b) for a, b in pairs]
     except (TypeError, ValueError):
         raise ConfigError("pairs", f"needs a sequence of (a, b) pairs, got {pairs!r}") from None
+    if not pairs:
+        raise ConfigError("pairs", f"{pairs!r} names no lattice")
     for a, b in pairs:
         base._check_steps(a, b)
 

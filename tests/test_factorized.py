@@ -383,6 +383,33 @@ def test_painless_round_trip_builds_no_factor(monkeypatch, L, a, b, window):
     assert np.linalg.norm(got - walnut * f) <= 1e-12 * np.linalg.norm(walnut * f)
 
 
+def test_painless_maps_hold_a_few_signals_beside_their_grids():
+    # L = 16384 on (16, 64), (c, p, q, d) = (16, 1, 16, 64): the grid is
+    # n = 16*L entries.  Analysis holds its grid and the signal read from s0
+    # with M - a samples more; synthesis its L + p*M - a buffer and one slab
+    # of L/p.  numpy adds fixed buffers for a strided or broadcast operand,
+    # about 256 KiB, here L entries.  The phase table is built inside.
+    L = 16384
+    lat = SeparableLattice(L, 16, 64)
+    g = reporting.AnalysisConfig(length=L, a=16, b=64, window="bspline:3:64").build_window()
+    f = random_signal(np.random.default_rng(7), L)
+
+    def traced(call):
+        """``call()`` and its tracemalloc peak, in complex entries."""
+        operators._roll_phase.cache_clear()
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1] / 16
+        finally:
+            tracemalloc.stop()
+
+    coeffs, analysis = traced(lambda: coefficient_map(g, lat, f))
+    _, synthesis = traced(lambda: synthesis_map(g, lat, coeffs))
+    beside = analysis - lat.cardinality
+    assert beside <= 3 * L, f"analysis holds {beside / L:.2f} L beside its grid"
+    assert synthesis <= 4 * L, f"synthesis holds {synthesis / L:.2f} L"
+
+
 def test_painless_round_trip_holds_few_full_size_arrays():
     # One coefficient grid is n = 262144 entries, 4 MiB.  The painless round
     # trip holds the grid it was given, one slab of L/p entries at a time for
@@ -674,6 +701,30 @@ def test_frame_spectrum_and_dual_memory_guards(monkeypatch):
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)
     with pytest.raises(MemoryGuardError, match="frame blocks would need 128 entries"):
         wexler_raz_dual(g, lat)
+
+
+def test_dual_command_refuses_its_reconstruction_grid_before_the_dual(monkeypatch, capsys):
+    # (2, 2) at L = 24: (c, p, q, d) = (2, 1, 6, 2), so the dual holds
+    # 2*L + d*c*p^2 = 52 entries and the spectrum L + min(L, n) = 48, but the
+    # reconstruction round trip's grid is n = 144.
+    lat = SeparableLattice(24, 2, 2)
+    c, p, _, d = _factor_sizes(lat)
+    assert 2 * lat.L + d * c * p * p == 52 < 100 < lat.cardinality == 144
+    solved = []
+
+    def spy(*args):
+        solved.append(args)
+        return operators._frame_inverse_apply(*args)
+
+    monkeypatch.setattr(diagnostics, "_frame_inverse_apply", spy)
+    assert main(["dual", "--length", "24", "--lattice", "2,2"]) == 0
+    assert len(solved) == 1
+    solved.clear()
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 100)
+    assert main(["dual", "--length", "24", "--lattice", "2,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reconstruction grid would need 144 entries")
+    assert solved == []
 
 
 def test_analyze_refuses_at_the_atom_stack_before_any_dense_decomposition(

@@ -213,6 +213,13 @@ def test_sweep_refuses_pairs_that_are_not_pairs(pairs):
         sweep(AnalysisConfig(length=12, a=1, b=1, window="delta"), pairs=pairs)
 
 
+def test_sweep_refuses_pairs_that_name_no_lattice():
+    # The CLI's --pairs ";" reaches this rule too: it has one owner.
+    for pairs in ([], (), iter([])):
+        with pytest.raises(ConfigError, match=r"pairs: \[\] names no lattice"):
+            sweep(AnalysisConfig(length=12, a=1, b=1, window="delta"), pairs=pairs)
+
+
 def test_sweep_takes_pairs_from_a_generator():
     rows = sweep(AnalysisConfig(length=12, a=1, b=1), pairs=((a, 12 // a) for a in (2, 3)))
     assert [(row["a"], row["b"]) for row in rows] == [(2, 6), (3, 4)]

@@ -182,11 +182,27 @@ def test_kernel_task_synthesizes_the_stack_it_is_built_as(monkeypatch):
 
 
 def test_window_roundtrip(tmp_path, rng):
+    # Bit for bit, also at 2^16 samples, which one parse of the file reads.
     path = tmp_path / "w.txt"
-    samples = random_signal(rng, 16)
-    save_window(path, samples)
-    back = load_window(path)
-    assert np.array_equal(back, samples)
+    for length in (16, 1 << 16):
+        samples = random_signal(rng, length)
+        save_window(path, samples)
+        back = load_window(path)
+        assert back.dtype == complex and back.shape == samples.shape
+        assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))
+
+
+def test_window_file_skips_comments_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("# re im\n1\t0\n\n  # note\n0.5 -2\n")
+    assert np.array_equal(load_window(path), [1, 0.5 - 2j])
+    for text, line in [("1 0\n2 x\n", "2 x"), ("1 0\n\n2 3 4\n", "2 3 4"), ("1\n2\n", "1")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="bad line in window file") as err:
+            load_window(path)
+        assert str(err.value).endswith(f": {line!r}")
+    path.write_text("# nothing\n\n")
+    assert load_window(path).shape == (0,)
 
 
 def test_window_file_is_the_per_sample_format(tmp_path, rng):
@@ -357,11 +373,6 @@ def test_sweep_delta_critical_pairs():
     for row in rows:
         assert row["frame"] == (row["a"] == 1), row
         assert row["consistent"] is True
-
-
-def test_sweep_empty_grid():
-    base = AnalysisConfig(length=12, a=1, b=1, window="delta")
-    assert sweep(base, []) == []
 
 
 def test_sweep_rejects_bad_pairs():

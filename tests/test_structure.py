@@ -5,7 +5,8 @@ source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
 the value.  A spectra entry keeps only its two decompositions, and the
 zero-padded S and G spectra derived from them have two readers.  Only the
-maps read the window factor; the rest reads its sigma = 0 fiber."""
+maps read the window factor; the rest reads its sigma = 0 fiber.  The
+painless maps read neither: a product, an FFT and a roll phase."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,7 @@ def test_only_twisted_invert_calls_rank_tolerance():
         ("does not divide L=", "lattice"),  # lattice steps, box widths, partition periods
         ("must be an integer >= 2", "lattice"),  # the signal length
         ("must be positive and finite", "tolerances"),  # tol_scale
+        ("names no lattice", "reporting"),  # an empty sweep grid
     ],
 )
 def test_each_input_rule_is_written_once(text, owner):
@@ -139,3 +141,20 @@ def test_only_the_maps_read_the_window_factor():
         ("operators", "_synthesis_kernel"),
         ("operators", "_frame_inverse_apply"),
     }
+
+
+def test_the_painless_maps_are_a_product_an_fft_and_a_phase():
+    # Only the two painless maps read the roll phase, and neither reads the
+    # window factor or its fiber.  Analysis has no Python loop; synthesis
+    # loops once, over the q slabs.
+    maps = {("operators", "_painless_analyze"), ("operators", "_painless_synthesize")}
+    assert set(calls("_roll_phase")) == maps
+    assert maps.isdisjoint(calls("_window_factor") + calls("_fiber"))
+    tree = ast.parse((SRC / "operators.py").read_text())
+    loops = (ast.For, ast.While, ast.comprehension)
+    found = {
+        node.name: sum(isinstance(inner, loops) for inner in ast.walk(node))
+        for node in tree.body
+        if getattr(node, "name", "") in ("_painless_analyze", "_painless_synthesize")
+    }
+    assert found == {"_painless_analyze": 0, "_painless_synthesize": 1}
