@@ -12,18 +12,18 @@ and so are S (ii-iv) and the adjoint G (xi-xiv), whose fibers use
 different translates.  In exact arithmetic all fourteen agree, so any
 disagreement beyond the flagged marginal band is an alarm.
 
-Each verdict counts the values of a spectrum above the lattice's one
-cutoff (:mod:`gaborkit.tolerances`), and holds when all that must clear it
-do; S and G count D's squared at the squared cutoff, and :func:`_psd_holds`
-is (ii) and (xi) for :func:`duality_check`, the dual's refusal and the
-finite condition number.  Each public diagnostic takes that cutoff before
-it reads a spectrum, so a bad ``tol_scale`` is refused before any
-decomposition.  A margin, sigma_need/sigma_max or lambda_min/lambda_max
-over the cutoff, within a factor 10 of 1 is flagged marginal.  Every
-spectrum comes from :class:`gaborkit.operators.SystemSpectra`, once per
-(window, lattice), and the dual from
-:func:`gaborkit.operators._frame_inverse_apply`; this module never sees
-the window factor.
+Each verdict, bound and refusal is one reading of a spectrum at the
+lattice's one cutoff (:func:`gaborkit.tolerances._reading`): how many of
+the values that must clear it do not, the deciding value and its margin.
+S and G read D's squared at the squared cutoff, one reading that is (ii)
+and (xi), the dual's refusal and the finite condition number.  Each public
+diagnostic takes that cutoff before it reads a spectrum, so a bad
+``tol_scale`` is refused before any decomposition.  A margin,
+sigma_need/sigma_max or lambda_min/lambda_max over the cutoff, within a
+factor 10 of 1 is flagged marginal.  Every spectrum comes from
+:class:`gaborkit.operators.SystemSpectra`, once per (window, lattice), and
+the dual from :func:`gaborkit.operators._frame_inverse_apply`; this module
+never sees the window factor.
 
 In this finite model, invertibility on the heavy and light sequence spaces
 collapses to plain invertibility, and injectivity of a square system already
@@ -41,7 +41,7 @@ from .gallery import periodized_gaussian
 from .lattice import SeparableLattice
 from .operators import Window, _frame_inverse_apply, _guard_dense, _spectra_for, atom_stack
 from .operators import coefficient_map, synthesis_map, window_samples
-from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _rank
+from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _reading
 
 
 @dataclass
@@ -94,16 +94,6 @@ class DualityRecord:
     agree: bool
     frame_spectrum: np.ndarray = field(repr=False)
     adjoint_gramian_spectrum: np.ndarray = field(repr=False)
-
-
-def _psd_holds(eigs, need, cut2):
-    """Whether ``need`` of ``eigs``, D's values squared, clear the squared cutoff ``cut2``."""
-    return bool(_rank(eigs, cut2) == need)
-
-
-def _deciding(values, need):
-    """The ``need``-th largest of ``values``, descending; zero past them."""
-    return float(values[need - 1]) if values.size >= need else 0.0
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -163,30 +153,24 @@ def check_all_conditions(
     adjoint = spectra.adjoint
     L = lattice.L
     n_adj = adjoint.lattice.cardinality
-    # operator -> (descending spectrum, how many values must clear the cutoff, cutoff)
-    measured = {
-        "analysis": (spectra.analysis, L, cut),
-        "synthesis": (spectra.synthesis, L, cut),
-        "frame": (spectra.synthesis**2, L, cut2),
-        "adjoint_analysis": (adjoint.analysis, n_adj, cut),
-        "adjoint_synthesis": (adjoint.synthesis, n_adj, cut),
-        "adjoint_gramian": (adjoint.synthesis**2, n_adj, cut2),
+    # operator -> (missing, deciding, margin) of its spectrum
+    readings = {
+        "analysis": _reading(spectra.analysis, L, cut),
+        "synthesis": _reading(spectra.synthesis, L, cut),
+        "frame": _reading(spectra.synthesis**2, L, cut2),
+        "adjoint_analysis": _reading(adjoint.analysis, n_adj, cut),
+        "adjoint_synthesis": _reading(adjoint.synthesis, n_adj, cut),
+        "adjoint_gramian": _reading(adjoint.synthesis**2, n_adj, cut2),
     }
-    # operator -> how many of the values that must clear the cutoff do not
-    missing = {op: need - _rank(values, c) for op, (values, need, c) in measured.items()}
     conditions, residuals, margins = {}, {}, {}
     for key, (operator, kind) in CONDITION_TABLE.items():
-        values, need, cutoff = measured[operator]
-        conditions[key] = bool(missing[operator] == 0)
-        deciding = _deciding(values, need)
+        missing, deciding, margins[key] = readings[operator]
+        conditions[key] = missing == 0
         residuals[key] = {
             "value": deciding,
             "root": float(np.sqrt(max(deciding, 0.0))),
-            "deficiency": float(missing[operator]),
+            "deficiency": float(missing),
         }[kind]
-        # The deciding value over the largest, clipped at zero, over the
-        # cutoff: >1 means the condition held, <1 failed.
-        margins[key] = max(deciding, 0.0) / float(values[0]) / cutoff if values[0] > 0 else 0.0
 
     marginal_conditions = tuple(
         key for key in CONDITION_KEYS
@@ -208,9 +192,10 @@ def frame_bounds(
     squared singular values of the window-factor blocks, descending."""
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
-    lower, upper, rank = _deciding(eigs, lattice.L), float(eigs[0]), _rank(eigs, cut2)
+    missing, lower, _ = _reading(eigs, lattice.L, cut2)
+    rank, upper = lattice.L - missing, float(eigs[0])  # rank: the Riesz rank
     riesz_sq = (float(eigs[rank - 1]), upper) if rank else (0.0, 0.0)
-    condition = upper / lower if rank == lattice.L else float("inf")
+    condition = upper / lower if not missing else float("inf")
     return BoundsReport(
         frame_lower=lower, frame_upper=upper,
         riesz_lower=float(np.sqrt(riesz_sq[0])), riesz_upper=float(np.sqrt(riesz_sq[1])),
@@ -230,10 +215,11 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     """
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
-    if not _psd_holds(eigs, lattice.L, cut2):
+    missing, deciding, _ = _reading(eigs, lattice.L, cut2)
+    if missing:
         raise NotAFrameError(
             "system is not a frame; no dual window",
-            sigma_min=_deciding(eigs, lattice.L), cutoff=cut2 * float(eigs[0]),
+            sigma_min=deciding, cutoff=cut2 * float(eigs[0]),
         )
     dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
@@ -291,8 +277,8 @@ def duality_check(
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     spectra = _spectra_for(g, lattice, spectra)
     adjoint = spectra.adjoint
-    frame = _psd_holds(spectra.synthesis**2, lattice.L, cut2)
-    riesz = _psd_holds(adjoint.synthesis**2, adjoint.lattice.cardinality, cut2)
+    frame = _reading(spectra.synthesis**2, lattice.L, cut2)[0] == 0
+    riesz = _reading(adjoint.synthesis**2, adjoint.lattice.cardinality, cut2)[0] == 0
     return DualityRecord(
         frame=frame, adjoint_riesz=riesz, agree=frame == riesz,
         frame_spectrum=spectra.frame, adjoint_gramian_spectrum=adjoint.gramian,

@@ -125,6 +125,8 @@ def load_window(path) -> np.ndarray:
             samples = np.loadtxt(handle, "f8,f8", comments="#", ndmin=1).view(complex)
     except OSError as err:
         raise ConfigError("window", f"cannot read window file {path!r}: {err}")
+    except UnicodeDecodeError as err:  # a ValueError, so caught before the bad-line search
+        raise ConfigError("window", f"window file {path!r} is not text: {err}") from None
     except ValueError as err:
         line = _first_bad_line(path) or str(err)
         raise ConfigError("window", f"bad line in window file {path!r}: {line!r}") from None
@@ -161,11 +163,19 @@ def periodized_gaussian(L: int) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def _box_product(L: int, widths) -> np.ndarray:
-    """Iterated circular convolution of unit boxes, exact in int64."""
+def _box_product(L: int, widths, rounds=1) -> np.ndarray:
+    """``rounds`` rounds of circular convolution with unit boxes of ``widths``,
+    exact in int64.  Width-1 boxes, the identity, are skipped.  An entry after
+    a width-w box sums w entries, so a step whose ``w * max`` would pass
+    2**63 - 1 is refused with a ConfigError on ``window``; every other box at
+    least doubles the sum, so that refusal ends any round count."""
+    boxes = [int(w) for w in widths if w > 1]
+    steps = (w for _ in range(rounds if boxes else 0) for w in boxes)
     out = np.zeros(L, dtype=np.int64)
-    out[: widths[0]] = 1
-    for w in widths[1:]:
+    out[: next(steps, 1)] = 1
+    for w in steps:
+        if w * int(out.max()) > np.iinfo(np.int64).max:
+            raise ConfigError("window", f"box product would pass 64-bit integers at width {w}")
         full = np.convolve(out, np.ones(w, dtype=np.int64))  # length L + w - 1 <= 2L - 1
         out = full[:L].copy()
         out[: w - 1] += full[L:]
@@ -175,8 +185,8 @@ def _box_product(L: int, widths) -> np.ndarray:
 def make_window(recipe: WindowRecipe, model) -> Window:
     """Realize a recipe as a unit-norm window of length ``model.L``; a
     recipe with a :meth:`~WindowRecipe.fault` at that length is a
-    LatticeError, and a window file of another length a ConfigError on
-    ``window``."""
+    LatticeError, and a window file of another length or a box product
+    past int64 a ConfigError on ``window``."""
     L = model.L
     fault = recipe.fault(L)
     if fault:
@@ -188,7 +198,7 @@ def make_window(recipe: WindowRecipe, model) -> Window:
     if recipe.kind == "periodized_gaussian":
         return Window.unit(periodized_gaussian(L), "periodized-gaussian")
     if recipe.kind == "bspline":
-        samples = _box_product(L, recipe.widths * recipe.order)
+        samples = _box_product(L, recipe.widths, recipe.order)
         return Window.unit(samples, f"bspline-{recipe.order}(w={recipe.widths[0]})")
     if recipe.kind == "convolution_product":
         samples = _box_product(L, recipe.widths)

@@ -318,6 +318,11 @@ def _frame_inverse_apply(g, lattice, f):
     return _unzak(lattice, np.multiply(solved, np.conj(phase), out=solved))
 
 
+def _spectrum(svals, q):
+    """D's spectrum from the fiber's singular values: descending, each q times."""
+    return np.repeat(np.sort(svals, axis=None)[::-1], q)
+
+
 def _synthesis_kernel(g, lattice, tol_scale, spectra):
     """Orthonormal null vectors of the synthesis map on ``lattice``, shape
     (dim, L/a, L/b).  Up to unitary FFTs D is the block diagonal of the
@@ -337,7 +342,7 @@ def _synthesis_kernel(g, lattice, tol_scale, spectra):
     u, svals, _ = _svd(fiber, "kernel block SVD", full_matrices=q > p)
     svals *= scale
     # cached_property keeps a computed spectrum in the instance dict.
-    vars(spectra).setdefault("synthesis", np.repeat(np.sort(svals, axis=None)[::-1], q))
+    vars(spectra).setdefault("synthesis", _spectrum(svals, q))
     rank = _rank(svals, cut, axis=-1)[:, None, :, None]  # [nu1, sigma, rho, col]
     nu1, sigma, rho, col = np.nonzero(np.broadcast_to(np.arange(q) >= rank, (d, q, c, q)))
     dim = nu1.size
@@ -627,7 +632,7 @@ class SystemSpectra:
         _guard_dense(lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
         fiber, scale = _fiber(self.g, lattice)
         svals = scale * _svd(fiber, "synthesis blocks", compute_uv=False)
-        return np.repeat(np.sort(svals, axis=None)[::-1], _factor_sizes(lattice)[2])
+        return _spectrum(svals, _factor_sizes(lattice)[2])
 
 
 def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:

@@ -42,8 +42,8 @@ from .gallery import (
 from .lattice import FiniteModel, SeparableLattice, _length_fault, _step_fault
 from .operators import SystemSpectra, Window, _synthesis_kernel, frame_operator_apply
 from .operators import operator_norms, synthesis_map
-from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff, _rank
-from .twisted import index_commutative, janssen_coefficients
+from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff, _reading
+from .twisted import janssen_coefficients
 
 SCHEMA_VERSION = "1"
 
@@ -206,18 +206,13 @@ def _task_kernel(g, lattice, config, rng, spectra):
 
 
 def _task_index(g, lattice, config, rng, spectra):
-    """The kernel dimension by the rank kernel_basis counts, counted once:
-    on a commuting adjoint it is the index, else an upper-bound surrogate."""
+    """The kernel dimension, one reading's ``missing`` count at the adjoint's
+    cutoff: on a commuting adjoint it is the index, else an upper-bound surrogate."""
     adjoint = spectra.adjoint
-    if adjoint.lattice.has_commuting_shifts:
-        index = index_commutative(g, adjoint.lattice, config.tol_scale, spectra=adjoint)
-        return {"commutative": True, "kernel_dimension_surrogate": index, "index": index}
-    rank = _rank(adjoint.synthesis, _lattice_cutoff(adjoint.lattice, config.tol_scale))
-    return {
-        "commutative": False,
-        "kernel_dimension_surrogate": adjoint.lattice.cardinality - int(rank),
-        "index": None,
-    }
+    cut = _lattice_cutoff(adjoint.lattice, config.tol_scale)
+    count = _reading(adjoint.synthesis, adjoint.lattice.cardinality, cut)[0]
+    index = count if adjoint.lattice.has_commuting_shifts else None
+    return {"commutative": index is not None, "kernel_dimension_surrogate": count, "index": index}
 
 
 def _task_gallery(g, lattice, config, rng, spectra):
@@ -386,12 +381,8 @@ def sweep(base: AnalysisConfig, pairs=None):
         )
 
     if base.out:
-        fieldnames = [
-            "a", "b", "redundancy", "frame_lower", "frame_upper",
-            "frame", "adjoint_riesz", "duality_agree", "consistent", "marginal",
-        ]
         with _open_output(base.out, "out", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
             writer.writeheader()
             for row in rows:
                 writer.writerow(

@@ -1,11 +1,12 @@
 """Shared numerical-rank conventions.
 
-Every decision about a lattice -- the fourteen conditions, the frame and
-Riesz verdicts and bounds, the condition number, the dual's refusal, the
-kernel rank and the index -- counts with :func:`_rank` against one
-cutoff, :func:`_lattice_cutoff`: ``margin_cutoff`` at dims (L, n, n'),
-``n' = a*b`` the adjoint's size, on singular values, and its square on the
-PSD frame operator and Gramian.  So independently computed checks cannot
+Every decision about a lattice reads one cutoff, :func:`_lattice_cutoff`:
+``margin_cutoff`` at dims (L, n, n'), ``n' = a*b`` the adjoint's size, on
+singular values, and its square on the PSD frame operator and Gramian.
+Each verdict, bound, refusal and count -- the fourteen conditions, the
+frame and Riesz bounds, the condition number, the dual's refusal and the
+index -- is one :func:`_reading` of a spectrum; only the kernel's
+per-block rank counts with :func:`_rank` besides.  So no two checks can
 disagree over a threshold; no other module calls ``margin_cutoff``.
 
 ``rank_tolerance``, ``tol_scale * max(shape) * eps * sigma_max``, is read
@@ -62,3 +63,14 @@ def _rank(values, cutoff, axis=None):
     """How many of ``values`` exceed ``cutoff`` times the largest of them
     all, counted along ``axis``."""
     return np.count_nonzero(values > cutoff * values.max(), axis=axis)
+
+
+def _reading(values, need, cutoff):
+    """``(missing, deciding, margin)`` of a descending spectrum ``values``
+    of which ``need`` must exceed ``cutoff`` times the largest: how many of
+    them do not, the ``need``-th largest (zero past the end), and that value,
+    clipped at zero, over the largest over the cutoff (>1 held, <1 failed)."""
+    missing = need - int(_rank(values[:need], cutoff))
+    deciding = float(values[need - 1]) if values.size >= need else 0.0
+    margin = max(deciding, 0.0) / float(values[0]) / cutoff if values[0] > 0 else 0.0
+    return missing, deciding, margin

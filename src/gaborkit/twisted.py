@@ -20,7 +20,8 @@ grids, the type the coefficient map returns and the synthesis map accepts.
 map (a module under #), and ``index_commutative`` counts the characters in
 it on a commuting lattice -- zero exactly when the dual-side system is a
 frame.  Both read the null vectors and the synthesis spectrum that
-:mod:`gaborkit.operators` computes; this module never sees the factor.
+:mod:`gaborkit.operators` computes, the index as that spectrum's one
+``missing`` count (:mod:`gaborkit.tolerances`); it never sees the factor.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlge
 from .lattice import SeparableLattice, TwistedSequence, root_of_unity
 from .operators import _guard_dense, _spectra_for, _svd, _synthesis_kernel, _twisted_matrix
 from .operators import shift_autocorrelation
-from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _rank, rank_tolerance
+from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _reading, rank_tolerance
 
 
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
@@ -137,8 +138,8 @@ def index_commutative(
     counting those characters gives the kernel's module index, zero exactly
     when the dual-side system is a frame.  Each character's residual
     ``|D chi| / |chi|`` is one synthesis singular value (``notes/decisions.md``),
-    so the index is n minus their rank in ``spectra``, the window's entry on
-    ``lattice`` (new when None), at the lattice cutoff:
+    so the index is how many of the n values in ``spectra``, the window's
+    entry on ``lattice`` (new when None), miss the lattice cutoff:
     ``len(kernel_basis(...))`` exactly, and no L x n matrix is built.
 
     Raises :class:`NonCommutativeLatticeError` when composition phases are
@@ -151,5 +152,4 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    svals = _spectra_for(g, lattice, spectra).synthesis
-    return lattice.cardinality - int(_rank(svals, cut))
+    return _reading(_spectra_for(g, lattice, spectra).synthesis, lattice.cardinality, cut)[0]

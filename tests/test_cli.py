@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,22 @@ def test_analyze_non_finite_window_file_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "Traceback" not in err
+
+
+def test_analyze_window_file_that_is_not_text_exit_1(tmp_path, capsys):
+    path = tmp_path / "w.bin"
+    path.write_bytes(b"\xff" + b"0\t0\n" * 8)
+    assert main(["analyze", "-L", "8", "--lattice", "2,2", "--window", str(path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: window: window file {str(path)!r} is not text")
+
+
+@pytest.mark.parametrize("window", ["bspline:40:4", "bspline:99999999999999999999:2"])
+def test_analyze_box_product_past_int64_exit_1(capsys, window):
+    # Both used to end in a report on a wrapped window or a raw OverflowError.
+    assert main(["analyze", "-L", "16", "--lattice", "4,4", "--window", window]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: window: box product would pass 64-bit integers")
 
 
 def test_analyze_window_file_of_wrong_length_exit_1(tmp_path, capsys):
@@ -362,3 +379,24 @@ def test_closed_stdout_exit_1(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The ``gaborkit ...`` examples of the README's "Command line" block,
+    continuation lines joined, each without its leading ``gaborkit``."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gaborkit ")]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in readme_commands()} == {"analyze", "sweep", "dual", "kernel", "gallery"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # the examples write their --out files here
+    assert main(argv) == 0

@@ -349,8 +349,8 @@ def test_shared_spectra_give_identical_results(rng, linalg_calls, L, a, b):
 def test_diagnostics_free_their_spectra(rng, diagnostic):
     # (2, 6) at L = 12 is critical and its shifts commute, so a random
     # window gives a basis and every diagnostic runs.  The entries it makes
-    # for the lattice and its adjoint hold window factors; none may wait
-    # for the cyclic collector once the call returns.
+    # for the lattice and its adjoint hold their cached spectra; none may
+    # wait for the cyclic collector once the call returns.
     g = random_unit_window(rng, 12)
     lat = SeparableLattice(12, 2, 6)
     gc.collect()

@@ -481,10 +481,11 @@ def test_character_residuals_and_index_match_the_loop(L):
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_kernel_index_and_harness_share_one_cutoff_on_every_divisor_lattice(L):
-    # On any lattice the report's surrogate is the adjoint kernel's
-    # dimension, and so is the index on a commuting adjoint; the kernel is
-    # empty exactly when the harness finds (viii).  With a cutoff per rule, the
-    # Gaussian at L = 18 on (1, 18) had index 1 and an empty kernel.
+    # On any lattice the report's surrogate and the harness's deficiency of
+    # the adjoint Gramian (xiii) are the adjoint kernel's dimension, and so
+    # are both indices on a commuting adjoint; the kernel is empty exactly
+    # when the harness finds (viii).  With a cutoff per rule, the Gaussian
+    # at L = 18 on (1, 18) had index 1 and an empty kernel.
     rng = np.random.default_rng(700 + L)
     windows = oracle_windows(rng, L)
     windows["gaussian"] = Window.unit(periodized_gaussian(L), "gaussian")
@@ -495,8 +496,11 @@ def test_kernel_index_and_harness_share_one_cutoff_on_every_divisor_lattice(L):
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             spectra = SystemSpectra(g, lat)
             dimension = len(kernel_basis(g, adjoint, spectra=spectra.adjoint))
-            viii = check_all_conditions(g, lat, spectra=spectra).conditions["viii"]
-            assert viii == (dimension == 0), where
+            verdict = check_all_conditions(g, lat, spectra=spectra)
+            assert verdict.conditions["viii"] == (dimension == 0), where
+            assert verdict.residuals["xiii"] == dimension, where
+            if adjoint.has_commuting_shifts:
+                assert index_commutative(g, adjoint, spectra=spectra.adjoint) == dimension, where
             # The kernel fills the adjoint's spectrum from its own SVD's
             # sigma = 0 fiber, and a fresh entry decomposes the fiber alone:
             # either way the index is the kernel's dimension exactly.

@@ -21,6 +21,7 @@ from gaborkit import (
     random_window,
     synthesis_map,
 )
+from gaborkit.gallery import _box_product
 from fixtures import EVEN_LADDER, EVEN_LADDER_DELTA, ODD_LADDER, ODD_LADDER_DELTA
 
 
@@ -83,6 +84,50 @@ def test_bspline_unnormalized_sums_constant():
     mean, dev = partition_of_unity_deviation(w.samples, 3)
     assert dev == 0.0
     assert mean != 0
+
+
+def exact_box_product(L, widths):
+    """Circular convolution of unit boxes in Python integers: entry i after a
+    width-w box is the sum of the w entries ending at i, a difference of
+    prefix sums over the wrapped signal."""
+    out = np.zeros(L, dtype=object)
+    out[0] = 1
+    for w in widths:
+        prefix = np.concatenate([[0], np.cumsum(np.concatenate([out[L - w + 1:], out]))])
+        out = prefix[w:] - prefix[:L]
+    return out.tolist()
+
+
+@pytest.mark.parametrize(
+    "L,recipe,boxes",
+    [
+        (16, WindowRecipe("bspline", order=33, widths=(4,)), (4,) * 33),  # product 2^66
+        (64, WindowRecipe("bspline", order=22, widths=(8,)), (8,) * 22),
+        (12, WindowRecipe("convolution_product", widths=(1, 2, 1, 3)), (1, 2, 1, 3)),
+        (65536, WindowRecipe("convolution_product", widths=(1024,) * 7), (1024,) * 7),
+        (16, WindowRecipe("bspline", order=10**20, widths=(1,)), ()),  # identities: the delta
+    ],
+)
+def test_box_products_near_the_int64_limit_are_exact(L, recipe, boxes):
+    want = exact_box_product(L, boxes)
+    assert max(want) <= np.iinfo(np.int64).max
+    assert _box_product(L, recipe.widths, recipe.order).tolist() == want
+    got = make_window(recipe, FiniteModel(L)).samples
+    assert np.array_equal(got, Window.unit(np.array(want, dtype=np.int64)).samples)
+
+
+@pytest.mark.parametrize(
+    "L,order,width",
+    [(16, 34, 4), (16, 40, 4), (64, 23, 8), (16, 10**20, 2), (16, 40, np.int64(4))],
+)
+def test_box_products_that_would_wrap_int64_are_refused(L, order, width):
+    # Exact integers pass 2^63 - 1 here (for 10^20 rounds, within 68 of them);
+    # a numpy width must not wrap the bound itself.
+    assert max(exact_box_product(L, [width] * min(order, 68))) > np.iinfo(np.int64).max
+    recipe = WindowRecipe("bspline", order=order, widths=(width,))
+    with pytest.raises(ConfigError, match="would pass 64-bit integers") as err:
+        make_window(recipe, FiniteModel(L))
+    assert err.value.field == "window"
 
 
 def test_recipe_width_errors():

@@ -205,6 +205,16 @@ def test_window_file_skips_comments_and_names_a_bad_line(tmp_path):
     assert load_window(path).shape == (0,)
 
 
+def test_window_file_that_is_not_text_is_a_config_error(tmp_path):
+    # UnicodeDecodeError is a ValueError, so it must not reach the bad-line search.
+    path = tmp_path / "w.bin"
+    for data in (b"\xff\xfe1 0\n", b"1 x\n\xff\n"):
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="is not text") as err:
+            load_window(path)
+        assert err.value.field == "window" and str(path) in str(err.value)
+
+
 def test_window_file_is_the_per_sample_format(tmp_path, rng):
     # One pass over all samples writes what one ``.17g`` line per sample did.
     special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.2250738585072009e-308),
@@ -304,8 +314,8 @@ def test_sweep_decomposes_each_matrix_once(linalg_calls):
 
 
 def test_run_frees_its_spectra():
-    # The lattice's entry and its adjoint's, each with a cached window
-    # factor; neither may wait for the cyclic collector once run returns.
+    # The lattice's entry and its adjoint's, each with its cached spectra;
+    # neither may wait for the cyclic collector once run returns.
     gc.collect()
     gc.disable()
     try:
@@ -351,7 +361,7 @@ def test_run_frees_its_spectra_when_a_task_raises():
 
 
 def test_sweep_frees_its_spectra():
-    # Each lattice's entry holds its window factor; none may wait for the
+    # Each lattice's entry holds its cached spectra; none may wait for the
     # cyclic collector once the sweep returns.
     gc.collect()
     gc.disable()

@@ -1,6 +1,8 @@
 """Each rank rule has one owner: only ``tolerances`` calls ``margin_cutoff``
 (through the lattice cutoff every decision about a lattice reads), and
-only ``twisted.twisted_invert`` calls ``rank_tolerance``.  Read from the
+only ``twisted.twisted_invert`` calls ``rank_tolerance``.  Every verdict,
+bound, refusal and count is one ``tolerances._reading``, so ``_rank`` has
+that one caller and the kernel's per-block count.  Read from the
 source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
 the value.  A spectra entry keeps only its two decompositions, and the
@@ -87,6 +89,18 @@ def test_only_tolerances_calls_margin_cutoff():
 
 def test_only_twisted_invert_calls_rank_tolerance():
     assert calls("rank_tolerance") == [("twisted", "twisted_invert")]
+
+
+def test_every_verdict_is_one_reading():
+    # The kernel counts per block, as its null vectors are placed per block.
+    assert set(calls("_rank")) == {("tolerances", "_reading"), ("operators", "_synthesis_kernel")}
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert defined.isdisjoint({"_psd_holds", "_deciding"})
 
 
 @pytest.mark.parametrize(
