@@ -145,8 +145,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:
-        # No size limit refuses a long signal up front; numpy's message
-        # names the allocation that failed.
+        # The length rule refuses only lengths no array can index; numpy's
+        # message names the allocation that failed.
         print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
     except BrokenPipeError:

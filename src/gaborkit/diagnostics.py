@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NotAFrameError, ShapeMismatchError
 from .gallery import periodized_gaussian
-from .lattice import SeparableLattice
+from .lattice import SeparableLattice, _samples
 from .operators import Window, _frame_inverse_apply, _guard_dense, _spectra_for, atom_stack
 from .operators import coefficient_map, synthesis_map, window_samples
 from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _reading
@@ -237,15 +237,15 @@ def wexler_raz_residual(dual, g, lattice: SeparableLattice) -> float:
 
 def reconstruction_residual(g, dual, lattice: SeparableLattice, signals) -> float:
     """Max relative error of ``f = D_g C_dual f`` over the given signals.
-    Each round trip's coefficient grid, n entries, is charged to the cap,
-    and a zero signal, whose relative error is undefined, is refused."""
+    Each round trip's coefficient grid, n entries, is charged to the cap; a
+    signal of zero or non-finite norm has no relative error and is refused."""
     _guard_dense(lattice.cardinality, "reconstruction grid")
     worst = 0.0
     for i, f in enumerate(signals):
-        f = np.asarray(f, dtype=complex)
+        f = _samples(f, f"signal {i}")
         norm = np.linalg.norm(f)
-        if norm == 0:
-            raise ShapeMismatchError(f"signal {i} is zero; its relative error is undefined")
+        if not 0 < norm < np.inf:
+            raise ShapeMismatchError(f"signal {i} is zero or not finite; it has no relative error")
         rebuilt = synthesis_map(g, lattice, coefficient_map(dual, lattice, f))
         worst = max(worst, float(np.linalg.norm(rebuilt - f) / norm))
     return worst
@@ -287,8 +287,8 @@ def duality_check(
 
 def stft_grid(f, phi) -> np.ndarray:
     """Full-grid windowed Fourier coefficients ``V[x, xi] = <f, shift((x, xi)) phi>``."""
-    f = np.asarray(f, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
+    f = _samples(f, "signal")
+    phi = _samples(phi, "analyzing window")
     if f.shape != phi.shape or f.ndim != 1:
         raise ShapeMismatchError("signal and analyzing window must be vectors of equal length")
     _guard_dense(f.size**2, "STFT grid")
@@ -303,7 +303,7 @@ def modulation_norm_proxy(f, p) -> float:
     norm (finite STFT orthogonality), so only p=1 and p=inf carry
     information beyond the plain norm.
     """
-    f = np.asarray(f, dtype=complex)
+    f = _samples(f, "signal")
     if f.ndim != 1:
         raise ShapeMismatchError(f"signal must be a vector, got shape {f.shape}")
     phi = periodized_gaussian(f.shape[0])

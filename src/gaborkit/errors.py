@@ -11,7 +11,7 @@ class GaborkitError(Exception):
 
 
 class ShapeMismatchError(GaborkitError, ValueError):
-    """An input vector or coefficient array has the wrong dimensions."""
+    """An input array has the wrong shape, or samples no window or signal can have."""
 
 
 class LatticeError(GaborkitError, ValueError):

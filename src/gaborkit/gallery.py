@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LatticeError, PartitionOfUnityError, ShapeMismatchError
-from .lattice import FiniteModel, SeparableLattice, TwistedSequence, _divisor_fault
+from .lattice import FiniteModel, SeparableLattice, TwistedSequence, _divisor_fault, _finite_fault
 from .operators import Window, synthesis_map, window_samples
 
 RECIPE_KINDS = ("delta", "periodized_gaussian", "bspline", "convolution_product", "file")
@@ -109,11 +109,11 @@ def _open_output(path, field, **kwargs):
 def save_window(path, samples) -> None:
     """Write a window as ``re<TAB>im`` lines (17 significant digits),
     formatted in one pass over the interleaved parts."""
-    parts = np.ascontiguousarray(samples, dtype=complex).view(float)
-    if parts.ndim != 1:
-        raise ShapeMismatchError(f"a window file holds one vector, got shape {np.shape(samples)}")
+    samples = window_samples(samples)
+    if samples.ndim != 1:
+        raise ShapeMismatchError(f"a window file holds one vector, got shape {samples.shape}")
     with _open_output(path, "out") as handle:
-        handle.write(("%.17g\t%.17g\n" * (parts.size // 2)) % tuple(parts.tolist()))
+        handle.write(("%.17g\t%.17g\n" * samples.size) % tuple(samples.view(float).tolist()))
 
 
 def load_window(path) -> np.ndarray:
@@ -130,8 +130,8 @@ def load_window(path) -> np.ndarray:
     except ValueError as err:
         line = _first_bad_line(path) or str(err)
         raise ConfigError("window", f"bad line in window file {path!r}: {line!r}") from None
-    if not np.all(np.isfinite(samples)):
-        raise ConfigError("window", f"window file {path!r} has non-finite samples")
+    if fault := _finite_fault(samples, f"window file {path!r}"):
+        raise ConfigError("window", fault)
     return samples
 
 
@@ -221,7 +221,7 @@ def random_window(model, rng, label="random") -> Window:
 def partition_of_unity_deviation(samples, period: int):
     """Return ``(mean, max deviation)`` of the periodized sums
     ``sum_k g[n - period*k]`` over the residues ``n``."""
-    samples = np.asarray(samples)
+    samples = window_samples(samples)
     if samples.ndim != 1:
         raise ShapeMismatchError(f"samples must be a vector, got shape {samples.shape}")
     L = samples.shape[0]

@@ -26,6 +26,7 @@ the elements of the lattice's twisted-convolution algebra
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,27 +53,45 @@ class FiniteModel:
             raise LatticeError(f"signal length {fault}")
 
     def reduce(self, z) -> PhasePoint:
-        """Reduce a phase point mod L."""
-        x, xi = z
-        return (int(x) % self.L, int(xi) % self.L)
+        """Reduce a phase point, a pair of integers, mod L."""
+        try:
+            x, xi = map(operator.index, z)
+        except (TypeError, ValueError):
+            raise LatticeError(f"a phase point is a pair of integers, got {z!r}") from None
+        return (x % self.L, xi % self.L)
 
     def inner(self, f, h) -> complex:
         """<f, h>, conjugate linear in the second argument."""
-        return complex(np.vdot(np.asarray(h), np.asarray(f)))
+        return complex(np.vdot(_samples(h, "signal"), _samples(f, "signal")))
+
+
+def _samples(values, what):
+    """``values`` as a C-contiguous complex array, refused unless numbers."""
+    try:
+        return np.asarray(values, dtype=complex, order="C")
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ShapeMismatchError(f"{what} must be numbers: {err}") from None
+
+
+def _finite_fault(samples, what):
+    """Why ``samples`` cannot be read as ``what``; "" when all are finite."""
+    return "" if np.isfinite(samples).all() else f"{what} has non-finite samples"
 
 
 def _check_length(L, f, what="signal"):
-    """``f`` as a contiguous complex vector, refused unless its length is L."""
-    f = np.asarray(f, dtype=complex)
+    """``f`` as a C-contiguous complex vector, refused unless its length is L."""
+    f = _samples(f, what)
     if f.shape != (L,):
         raise ShapeMismatchError(f"expected a length-{L} {what}, got shape {f.shape}")
-    return np.ascontiguousarray(f)
+    return f
 
 
 def _length_fault(L):
-    """Why ``L`` cannot be a signal length; "" when it can."""
+    """Why ``L`` cannot be a signal length; "" when it can: 16*L bytes must fit np.intp."""
     if not isinstance(L, (int, np.integer)) or L < 2:
         return f"must be an integer >= 2, got {L!r}"
+    if 16 * int(L) > np.iinfo(np.intp).max:
+        return f"must be at most {np.iinfo(np.intp).max // 16}, got {L}"
     return ""
 
 
@@ -202,7 +221,7 @@ class SeparableLattice:
         return np.stack([(k * self.a) % self.L, (l * self.b) % self.L], axis=1)
 
     def contains(self, z) -> bool:
-        x, xi = int(z[0]) % self.L, int(z[1]) % self.L
+        x, xi = self.model.reduce(z)
         return x % self.a == 0 and xi % self.b == 0
 
     def adjoint(self) -> "SeparableLattice":
@@ -235,7 +254,7 @@ class TwistedSequence:
     lattice: SeparableLattice = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = _samples(self.values, "sequence")
         if self.values.shape != self.lattice.grid_shape:
             raise ShapeMismatchError(
                 f"sequence shape {self.values.shape} does not match lattice grid "

@@ -53,7 +53,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import GaborkitError, MemoryGuardError, ShapeMismatchError
-from .lattice import SeparableLattice, TwistedSequence, _check_length, root_of_unity
+from .lattice import SeparableLattice, TwistedSequence, _check_length, _finite_fault, _samples
+from .lattice import root_of_unity
 from .tolerances import _lattice_cutoff, _rank
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
@@ -81,6 +82,8 @@ class Window:
         self.samples = window_samples(self.samples)
         if self.samples.ndim != 1:
             raise ShapeMismatchError(f"window must be a vector, got shape {self.samples.shape}")
+        if fault := _finite_fault(self.samples, "window"):
+            raise ShapeMismatchError(fault)
         if not np.any(self.samples):
             raise ShapeMismatchError("window must not be identically zero")
 
@@ -91,11 +94,8 @@ class Window:
         An exact power-of-two scaling of ``max|g|`` into [1/2, 1) keeps the sum
         of squares from underflowing or overflowing; where ``norm(g)`` is
         representable the result is bit for bit numpy's ``g / norm(g)``."""
-        samples = np.ascontiguousarray(window_samples(samples))
-        peak = float(np.max(np.abs(samples), initial=0.0))
-        if peak == 0.0:
-            raise ShapeMismatchError("window must not be identically zero")
-        exp = math.frexp(peak)[1]
+        samples = cls(samples).samples  # a finite nonzero vector
+        exp = math.frexp(float(np.max(np.abs(samples))))[1]
         scaled = np.ldexp(samples.view(float), -exp).view(complex)
         norm = float(np.linalg.norm(scaled))
         # numpy divides by a norm as g * (1/norm); below the smallest normal
@@ -111,13 +111,8 @@ class Window:
 
 
 def window_samples(g) -> np.ndarray:
-    """Accept a Window or a bare vector of numbers."""
-    if isinstance(g, Window):
-        return g.samples
-    try:
-        return np.asarray(g, dtype=complex)
-    except (TypeError, ValueError) as err:
-        raise ShapeMismatchError(f"window samples must be numbers: {err}") from None
+    """A Window's samples, or a bare vector of numbers as complex."""
+    return g.samples if isinstance(g, Window) else _samples(g, "window samples")
 
 
 def _translates(g, lattice):
@@ -477,7 +472,7 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
             raise ShapeMismatchError("coefficients indexed by a different lattice")
         values = coeffs.values
     else:
-        values = np.asarray(coeffs, dtype=complex)
+        values = _samples(coeffs, "coefficients")
         if values.shape[-2:] != lattice.grid_shape:
             raise ShapeMismatchError(
                 f"coefficient shape {values.shape} does not match lattice grid "
@@ -577,15 +572,17 @@ class SystemSpectra:
     """The spectra of one window on one lattice.  Two are decomposed on
     first use and then kept, singular values (descending) of C, from the
     dense matrix, and of D, from one batched SVD of the fiber, built and
-    dropped; the eigenvalues (ascending) of S and G are D's squared.
-    ``table`` maps each lattice to the window's live entry there
-    (:meth:`on`), so each spectrum is computed once per (window, lattice);
-    :attr:`adjoint` is the adjoint lattice's entry.  The table holds its
-    entries weakly and an entry holds those it made, so no entry is in a
-    reference cycle: reference counting frees an entry, with every entry it
-    made, as soon as its caller drops it."""
+    dropped; the eigenvalues (ascending) of S and G are D's squared.  The
+    root entry, made with no ``table``, refuses a nan or inf window sample.
+    ``table`` maps each lattice to the window's live entry (:meth:`on`), so
+    each spectrum is computed once per (window, lattice); :attr:`adjoint` is
+    the adjoint lattice's entry.  The table holds its entries weakly and an
+    entry holds those it made, so no entry is in a reference cycle: reference
+    counting frees an entry, and all it made, as soon as its caller drops it."""
 
     def __init__(self, g, lattice: SeparableLattice, *, table=None):
+        if table is None and (fault := _finite_fault(window_samples(g), "window")):
+            raise ShapeMismatchError(fault)
         self.g = g
         self.lattice = lattice
         self.table = weakref.WeakValueDictionary() if table is None else table

@@ -229,6 +229,17 @@ def test_allocation_failure_exit_1(capsys, window):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("length", ["9999999999999999999999", str(2**62)])
+def test_length_past_any_index_exit_1(capsys, length):
+    # np.arange(L) raised "Maximum allowed size exceeded" or "array is too
+    # big": no complex vector of 16*L bytes can be indexed.
+    code = main(["analyze", "-L", length, "--lattice", "1,1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: length: must be at most {np.iinfo(np.intp).max // 16}, got")
+    assert err.count("\n") == 1
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--help"])

@@ -415,6 +415,15 @@ NON_FINITE_CALLS = {
 
 @pytest.mark.parametrize("name", NON_FINITE_CALLS)
 def test_non_finite_input_is_a_toolkit_error(name):
-    # Each ended in numpy's "SVD did not converge" LinAlgError.
-    with pytest.raises(GaborkitError, match="did not converge; are its entries finite"):
-        NON_FINITE_CALLS[name](np.full(12, np.nan, dtype=complex))
+    # Each ended in numpy's "SVD did not converge" LinAlgError; one inf
+    # sample went through the SVD.  A window is now refused before any
+    # decomposition, while a sequence still meets the SVD's refusal.
+    all_nan = np.full(12, np.nan, dtype=complex)
+    one_inf = np.zeros(12, dtype=complex)
+    one_inf[0] = np.inf
+    windows, message = (all_nan, one_inf), "window has non-finite samples"
+    if name == "twisted_invert":
+        windows, message = (all_nan,), "did not converge; are its entries finite"
+    for window in windows:
+        with pytest.raises(GaborkitError, match=message):
+            NON_FINITE_CALLS[name](window)

@@ -1,8 +1,10 @@
 """Each input rule has one owner, and the library refuses what the CLI
 refuses: a ``tol_scale`` that is not positive and finite is a
 ``ConfigError`` on ``tol_scale`` from every public function that takes one,
-before any decomposition, and a value that must be a positive integer
-dividing L is refused as such wherever it is read."""
+before any decomposition, a value that must be a positive integer
+dividing L is refused as such wherever it is read, sample arrays that are
+not numbers are a ``ShapeMismatchError`` wherever they are read, and a
+window with a nan or inf sample reaches no decomposition."""
 
 import inspect
 
@@ -18,9 +20,11 @@ from gaborkit import (
     LatticeError,
     SeparableLattice,
     ShapeMismatchError,
+    TwistedSequence,
     Window,
     WindowRecipe,
     check_all_conditions,
+    coefficient_map,
     frame_bounds,
     gaussian_alternating_kernel_probe,
     janssen_coefficients,
@@ -29,7 +33,10 @@ from gaborkit import (
     partition_of_unity_kernel,
     periodized_gaussian,
     reconstruction_residual,
+    shift_matrix,
     sweep,
+    synthesis_map,
+    tf_shift,
     wexler_raz_dual,
 )
 from gaborkit.tolerances import _lattice_cutoff
@@ -231,3 +238,94 @@ def test_a_window_that_is_not_numbers_is_a_shape_mismatch(window):
     for call in (check_all_conditions, frame_bounds, lambda g, lat: Window(g), Window.unit):
         with pytest.raises(ShapeMismatchError, match="window samples must be numbers"):
             call(window, lat)
+
+
+def _one_bad_sample(value, L=8):
+    samples = np.zeros(L, dtype=complex)
+    samples[0] = value
+    return samples
+
+
+#: A window with one inf sample and one with one nan sample.
+NON_FINITE_WINDOWS = {"inf": _one_bad_sample(np.inf), "nan": _one_bad_sample(np.nan)}
+
+#: Every public diagnostic that decomposes a window, on a commuting lattice.
+DECOMPOSING = (
+    "check_all_conditions", "duality_check", "frame_bounds", "index_commutative",
+    "kernel_basis", "operator_norms", "wexler_raz_dual",
+)
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE_WINDOWS))
+@pytest.mark.parametrize("name", DECOMPOSING)
+def test_a_non_finite_window_reaches_no_decomposition(linalg_calls, capfd, name, bad):
+    # With one inf sample, check_all_conditions on (8, 2, 2) read "consistent"
+    # and LAPACK printed "DLASCL parameter number 4 had an illegal value".
+    calls = linalg_calls(*LINALG)
+    with pytest.raises(ShapeMismatchError, match="window has non-finite samples"):
+        getattr(gaborkit, name)(NON_FINITE_WINDOWS[bad], SeparableLattice(8, 4, 4))
+    assert {called: shapes for called, shapes in calls.items() if shapes} == {}
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("bad", sorted(NON_FINITE_WINDOWS))
+def test_window_refuses_a_non_finite_sample_before_it_scales(bad):
+    # Window.unit returned an all-nan window, or raised a raw RuntimeWarning.
+    for make in (Window, Window.unit):
+        with pytest.raises(ShapeMismatchError, match="window has non-finite samples"):
+            make(NON_FINITE_WINDOWS[bad])
+
+
+def test_reconstruction_refuses_a_non_finite_signal():
+    # [inf, 0, ...] read 0.0, and a nan signal was dropped by max().
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(16))
+    lat = SeparableLattice(16, 2, 2)
+    dual = wexler_raz_dual(g, lat)
+    good = np.ones(16)
+    for signals, index in [([_one_bad_sample(np.inf, 16)], 0), ([good, np.full(16, np.nan)], 1),
+                           ([np.full(16, np.nan), good], 0)]:
+        with pytest.raises(ShapeMismatchError, match=f"signal {index} is zero or not finite"):
+            reconstruction_residual(g, dual, lat, signals)
+
+
+def test_sample_arrays_that_are_not_numbers_are_a_shape_mismatch():
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(12))
+    lat = SeparableLattice(12, 3, 4)
+    calls = {
+        "signal": lambda: coefficient_map(g, lat, "abc"),
+        "coefficients": lambda: synthesis_map(g, lat, "abc"),
+        "sequence": lambda: TwistedSequence("abc", lat),
+        "signal 0": lambda: reconstruction_residual(g, g, lat, "abc"),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ShapeMismatchError, match=f"^{what} must be numbers"):
+            call()
+
+
+def test_the_maps_carry_nan_through_unchecked():
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(12))
+    lat = SeparableLattice(12, 3, 4)
+    assert np.isnan(coefficient_map(g, lat, np.full(12, np.nan)).values).all()
+    assert np.isnan(synthesis_map(g, lat, np.full(lat.grid_shape, np.nan))).all()
+    coeffs = coefficient_map(NON_FINITE_WINDOWS["nan"], SeparableLattice(8, 2, 2), np.ones(8))
+    assert np.isnan(coeffs.values).any()
+
+
+@pytest.mark.parametrize("z", [(1.9, 0), (0.5, 1), ("a", 1), None, (1,), (1, 2, 3), "12"])
+def test_a_phase_point_is_a_pair_of_integers(z):
+    # int() truncated (1.9, 0) to (1, 0), and the rest ended in a raw error.
+    model = FiniteModel(4)
+    for call in (
+        lambda: tf_shift(model, z, np.ones(4)),
+        lambda: shift_matrix(model, z),
+        lambda: SeparableLattice(8, 2, 2).contains(z),
+    ):
+        with pytest.raises(LatticeError, match="a phase point is a pair of integers"):
+            call()
+
+
+def test_integer_phase_points_are_reduced():
+    model = FiniteModel(4)
+    assert model.reduce((np.int64(5), -1)) == (1, 3)
+    assert SeparableLattice(8, 2, 2).contains((np.int64(2), -4))
+    assert not SeparableLattice(8, 2, 2).contains((3, 0))

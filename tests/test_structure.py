@@ -110,6 +110,8 @@ def test_every_verdict_is_one_reading():
         ("must be an integer >= 2", "lattice"),  # the signal length
         ("must be positive and finite", "tolerances"),  # tol_scale
         ("names no lattice", "reporting"),  # an empty sweep grid
+        ("must be numbers", "lattice"),  # windows, signals and coefficient grids
+        ("non-finite samples", "lattice"),  # the finiteness fault
     ],
 )
 def test_each_input_rule_is_written_once(text, owner):
