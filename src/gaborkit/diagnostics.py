@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import NotAFrameError, ShapeMismatchError
 from .gallery import periodized_gaussian
-from .lattice import SeparableLattice, _samples
-from .operators import Window, _frame_inverse_apply, _guard_dense, _spectra_for, atom_stack
+from .lattice import SeparableLattice, _check_length, _finite_fault, _samples
+from .operators import Window, _frame_inverse_apply, _guard_dense, _spectra_for, _twisted_matrix
 from .operators import coefficient_map, synthesis_map, window_samples
 from .tolerances import DEFAULT_TOL_SCALE, MARGINAL_BAND, _lattice_cutoff, _reading
 
@@ -237,27 +237,31 @@ def wexler_raz_residual(dual, g, lattice: SeparableLattice) -> float:
 
 def reconstruction_residual(g, dual, lattice: SeparableLattice, signals) -> float:
     """Max relative error of ``f = D_g C_dual f`` over the given signals.
-    Each round trip's coefficient grid, n entries, is charged to the cap; a
-    signal of zero or non-finite norm has no relative error and is refused."""
+    Each round trip's grid, n entries, is charged to the cap.  A signal with
+    a nan or inf sample is refused, as is a zero one (no relative error).
+    The maps are linear, so a signal is first scaled, exactly, by the power
+    of two that puts its largest part in [1/2, 1): no norm over- or underflows."""
     _guard_dense(lattice.cardinality, "reconstruction grid")
     worst = 0.0
     for i, f in enumerate(signals):
-        f = _samples(f, f"signal {i}")
-        norm = np.linalg.norm(f)
-        if not 0 < norm < np.inf:
-            raise ShapeMismatchError(f"signal {i} is zero or not finite; it has no relative error")
+        f = _check_length(lattice.L, f, f"signal {i}")
+        if fault := _finite_fault(f, f"signal {i}"):
+            raise ShapeMismatchError(fault)
+        if not (top := float(np.max(np.abs(f.view(float))))):
+            raise ShapeMismatchError(f"signal {i} is zero; it has no relative error")
+        f = np.ldexp(f.view(float), -np.frexp(top)[1]).view(complex)
         rebuilt = synthesis_map(g, lattice, coefficient_map(dual, lattice, f))
-        worst = max(worst, float(np.linalg.norm(rebuilt - f) / norm))
+        worst = max(worst, float(np.linalg.norm(rebuilt - f) / np.linalg.norm(f)))
     return worst
 
 
 def cross_gramian(phi, g, lattice: SeparableLattice) -> np.ndarray:
     """The cross-Gramian ``Phi[mu, nu] = <shift(nu) phi, shift(mu) g>`` of
-    two windows over one lattice."""
+    two windows over one lattice: the twisted multiplier by ``<phi,
+    shift(lam) g>``, as the Gramian is by the window's autocorrelation."""
     _guard_dense(lattice.cardinality**2, "cross-Gramian")
-    atoms_g = atom_stack(g, lattice)
-    atoms_phi = atom_stack(phi, lattice)
-    return np.conj(atoms_g) @ atoms_phi.T
+    phi = _check_length(lattice.L, window_samples(phi), "window")
+    return _twisted_matrix(coefficient_map(g, lattice, phi).values, lattice)
 
 
 def cross_gramian_row_sum_gap(phi, g, lattice: SeparableLattice) -> float:

@@ -30,16 +30,16 @@ returns them as a strided view of it, ``(T + 1)*L`` entries with
 entries of the blocks themselves.
 
 This module is the one owner of that layout.  The maps run the factor on
-the Zak transform of the signal, as :func:`frame_operator_apply` does for
-every window, which makes it the check of the painless maps and the dual.
-The rest reads the ``sigma = 0`` fiber ``W0``, L entries from one FFT, one
-gather and one phase (:func:`_fiber`); block ``sigma`` is ``R W0 B`` with
-R and B unitary (:func:`_covariance`).  One batched SVD of the fiber, each
-value q times, is the synthesis spectrum, whose squares are the nonzero S
-and G spectra (:class:`SystemSpectra`; only this module writes to an
-entry); its null vectors moved by R span the kernel, and one p x p block
-``(M/p) W0^H W0`` per ``(nu1, rho)`` solves ``S^-1 f`` through B.  The
-analysis spectrum stays dense, so the harness compares dense C against
+the Zak transform of the signal; :func:`frame_operator_apply` is D after C
+through them, on either route, which makes it the check of the dual.  The
+rest reads the ``sigma = 0`` fiber ``W0``, L entries of the window's Zak
+transform and one phase (:func:`_fiber`); block ``sigma`` is ``R W0 B``
+with R and B unitary (:func:`_covariance`).  One batched SVD of the fiber,
+each value q times, is the synthesis spectrum, whose squares are the
+nonzero S and G spectra (:class:`SystemSpectra`; only this module writes
+to an entry); its null vectors moved by R span the kernel, and one p x p
+block ``(M/p) W0^H W0`` per ``(nu1, rho)`` solves ``S^-1 f`` through B.
+The analysis spectrum stays dense, so the harness compares dense C against
 the fiber's D, and a lattice's fiber against its adjoint's.
 """
 
@@ -176,15 +176,10 @@ def _view(base, offset, shape, strides):
     return np.ndarray(shape, base.dtype, base, offset * size, [s * size for s in strides])
 
 
-@lru_cache(maxsize=64)
 def _wrap_phase(b, p, q):
-    """``exp(2*pi*i*nu*w*k0/b)`` with ``w = p // q``, shape (p, d, 1, 1, q),
-    read-only: see :func:`_window_factor`.  Cached, as at small L building
-    it costs as much as the rest of the factor."""
+    """``exp(2*pi*i*nu*(p // q)*k0/b)``, shape (p, d, 1, 1, q): see :func:`_window_factor`."""
     nu_k0 = np.outer(np.arange(b), (p // q) * np.arange(q)) % b
-    phase = np.exp(2j * np.pi / b * nu_k0).reshape(p, b // p, 1, 1, q)
-    phase.flags.writeable = False
-    return phase
+    return np.exp(2j * np.pi / b * nu_k0).reshape(p, b // p, 1, 1, q)
 
 
 def _window_factor(g, lattice):
@@ -230,18 +225,16 @@ def _window_factor(g, lattice):
 def _fiber(g, lattice):
     """``_window_factor(g, lattice)`` at ``sigma = 0`` alone: ``d*c`` blocks
     of q x p, shape (d, c, q, p), L entries, and the scale.  Row ``k0`` of
-    block ``(nu1, rho)`` is column ``rho + c*s`` of the length-b FFT of g in
-    (b, M) rows at ``nu = nu1 + d*nu2``, conjugated, times
-    ``exp(-2*pi*i*nu*j/b)``, where ``-p*k0 = s + q*j`` with ``0 <= s < q``."""
-    g = _check_length(lattice.L, window_samples(g), "window")
-    c, p, q, d = _factor_sizes(lattice)
-    b, M = lattice.b, lattice.n_freq
+    block ``(nu1, rho)`` is the conjugated Zak transform of g (:func:`_zak`)
+    at ``sigma = s``, times ``exp(-2*pi*i*nu*j/b)`` with ``nu = nu1 +
+    d*nu2``, where ``-p*k0 = s + q*j`` with ``0 <= s < q``."""
+    _, p, q, d = _factor_sizes(lattice)
     j, s = np.divmod(-p * np.arange(q), q)
-    table = np.fft.fft(g.reshape(b, M), axis=0)
-    fiber = np.take(table, (np.arange(c)[:, None] + c * s).ravel(), axis=1).reshape(b, c, q)
+    zak = _zak(lattice, _check_length(lattice.L, window_samples(g), "window"))
+    fiber = np.take(zak.transpose(3, 0, 2, 1), s, axis=-1)  # [nu2, nu1, rho, k0]
     np.conj(fiber, out=fiber)
-    fiber *= root_of_unity(-np.outer(np.arange(b), j), b)[:, None, :]
-    return fiber.reshape(p, d, c, q).transpose(1, 2, 3, 0), math.sqrt(M / p)
+    fiber *= root_of_unity(-np.arange(lattice.b).reshape(p, d, 1, 1) * j, lattice.b)
+    return fiber.transpose(1, 2, 3, 0), math.sqrt(lattice.n_freq / p)
 
 
 def _covariance(lattice, sigma, k0):
@@ -486,13 +479,11 @@ def synthesis_map(g, lattice: SeparableLattice, coeffs) -> np.ndarray:
 
 
 def frame_operator_apply(g, lattice: SeparableLattice, f) -> np.ndarray:
-    """Apply S = D C without forming matrices, from one window factor; not
-    through the p x p blocks of :func:`_frame_inverse_apply`, so it checks
-    that solve.  Its coefficient grid, n entries, is charged to the cap."""
+    """``S f = D C f`` through the two maps, so it checks the dual's fiber
+    solve (:func:`_frame_inverse_apply`).  Its n-entry grid is charged to the cap."""
     f = _check_length(lattice.L, f)
     _guard_dense(lattice.cardinality, "frame operator grid")
-    blocks, _ = _window_factor(g, lattice)
-    return _synthesize(blocks, lattice, _analyze(blocks, lattice, f))
+    return synthesis_map(g, lattice, coefficient_map(g, lattice, f))
 
 
 def atom_stack(g, lattice: SeparableLattice) -> np.ndarray:
@@ -544,13 +535,15 @@ def _twisted_matrix(values, lattice: SeparableLattice) -> np.ndarray:
     """The n x n matrix of right twisted multiplication by ``values`` (see
     :mod:`gaborkit.twisted`) on flat grid order,
     ``M[lam, mu] = exp(-2*pi*i*mu_1*(lam_2 - mu_2)/L) * values[lam - mu]``:
-    the Gramian when ``values`` is the shift autocorrelation."""
-    L, n = lattice.L, lattice.cardinality
+    the Gramian when ``values`` is the shift autocorrelation.  Gathered as
+    ``[k, l, k', l']`` and phased in place, so it holds n^2 + n*L/b entries."""
+    L, n, (nt, nf) = lattice.L, lattice.cardinality, lattice.grid_shape
     _guard_dense(n * n, "twisted multiplier matrix")
-    kv, lv = np.divmod(np.arange(n), lattice.n_freq)
-    dk = (kv[:, None] - kv[None, :]) % lattice.n_time
-    dl = (lv[:, None] - lv[None, :]) % lattice.n_freq
-    return values[dk, dl] * root_of_unity(-(kv[None, :] * lattice.a) * ((dl * lattice.b) % L), L)
+    dk = (np.arange(nt)[:, None] - np.arange(nt)) % nt  # [k, k']
+    dl = (np.arange(nf)[:, None, None] - np.arange(nf)) % nf  # [l, 1, l']
+    out = values[dk[:, None, :, None], dl]
+    out *= root_of_unity(-(np.arange(nt)[:, None] * lattice.a) * ((dl * lattice.b) % L), L)
+    return out.reshape(n, n)
 
 
 def gramian_matrix(g, lattice: SeparableLattice) -> np.ndarray:

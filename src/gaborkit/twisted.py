@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlgebraError
-from .lattice import SeparableLattice, TwistedSequence, root_of_unity
+from .lattice import SeparableLattice, TwistedSequence, _finite_fault, root_of_unity
 from .operators import _guard_dense, _spectra_for, _svd, _synthesis_kernel, _twisted_matrix
 from .operators import shift_autocorrelation
 from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _reading, rank_tolerance
@@ -91,7 +91,7 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
     Solves the right-multiplication system ``b # a = delta``; faithfulness
     of the representation makes the inverse two-sided.  Raises
     :class:`SingularAlgebraError` when the convolution operator is singular
-    at the working tolerance.
+    at the working tolerance; a nan or inf entry is refused before that.
 
     Accuracy: the unit equations hold to roughly machine epsilon times the
     condition number of the convolution operator; that is also the floor
@@ -101,6 +101,8 @@ def twisted_invert(a: TwistedSequence, tol_scale=DEFAULT_TOL_SCALE) -> TwistedSe
     # The cutoff per unit sigma_max, taken first, so a bad tol_scale is
     # refused before the matrix is built.
     unit_cutoff = rank_tolerance((n, n), 1.0, tol_scale)
+    if fault := _finite_fault(a.values, "sequence"):
+        raise ShapeMismatchError(fault)
     R = right_multiplier_matrix(a)
     svals = _svd(R, "twisted multiplier matrix", compute_uv=False)
     cutoff = unit_cutoff * float(svals[0])

@@ -18,6 +18,7 @@ from gaborkit import (
     TwistedSequence,
     Window,
     analysis_matrix,
+    atom_stack,
     check_all_conditions,
     coefficient_map,
     cross_gramian,
@@ -366,7 +367,8 @@ STREAM_PAINLESS = (
 @pytest.mark.parametrize("L,a,b,window", STREAM_PAINLESS, ids=[str(s[:3]) for s in STREAM_PAINLESS])
 def test_painless_round_trip_builds_no_factor(monkeypatch, L, a, b, window):
     # S of a painless system is the Walnut diagonal
-    # w(t) = (L/b) * sum_k |g(t - k*a)|^2, so the round trip is w * f.
+    # w(t) = (L/b) * sum_k |g(t - k*a)|^2, so the round trip is w * f, and
+    # frame_operator_apply takes the same painless route.
     def refuse(*args, **kwargs):
         raise AssertionError("a painless map built the window factor")
 
@@ -379,8 +381,8 @@ def test_painless_round_trip_builds_no_factor(monkeypatch, L, a, b, window):
         g = reporting.AnalysisConfig(length=L, a=a, b=b, window=window).build_window().samples
     f = random_signal(rng, L)
     walnut = lat.n_freq * np.tile((np.abs(g) ** 2).reshape(lat.n_time, a).sum(axis=0), lat.n_time)
-    got = synthesis_map(g, lat, coefficient_map(g, lat, f))
-    assert np.linalg.norm(got - walnut * f) <= 1e-12 * np.linalg.norm(walnut * f)
+    for got in (synthesis_map(g, lat, coefficient_map(g, lat, f)), frame_operator_apply(g, lat, f)):
+        assert np.linalg.norm(got - walnut * f) <= 1e-12 * np.linalg.norm(walnut * f)
 
 
 def test_painless_maps_hold_a_few_signals_beside_their_grids():
@@ -565,6 +567,18 @@ def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
                 assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], where
                 deficiency = [np.count_nonzero(s <= cut2 * s[-1]) for s in (got, want)]
                 assert deficiency[0] == deficiency[1], where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_cross_gramian_matches_the_atom_stack_product_on_every_divisor_lattice(L):
+    # The cross-Gramian was this product of two n x L atom stacks; it is the
+    # twisted multiplier by the n coefficients <phi, shift(lam) g>.
+    rng = np.random.default_rng(700 + L)
+    for lat in divisor_lattices(L):
+        phi, g = random_signal(rng, L), random_unit_window(rng, L)
+        want = np.conj(atom_stack(g, lat)) @ atom_stack(phi, lat).T
+        got = cross_gramian(phi, g, lat)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (L, lat.a, lat.b)
 
 
 def test_sweep_builds_no_dense_gramian(monkeypatch):
@@ -758,7 +772,7 @@ def test_analyze_refuses_at_the_atom_stack_before_any_dense_decomposition(
 def test_dense_paths_refuse_above_the_cap(monkeypatch, what, entries, call):
     # On (8, 2, 2): the represented operator and the STFT grid hold L^2 = 64
     # entries, and the twisted multiplier and the cross-Gramian n^2 = 256;
-    # the cross-Gramian's two atom stacks (n*L = 128) fit under either cap.
+    # the cross-Gramian builds no atom stack, only phi's n coefficients.
     rng = np.random.default_rng(31)
     g, f = random_unit_window(rng, 8), random_signal(rng, 8)
     unit = TwistedSequence.delta(SeparableLattice(8, 2, 2))

@@ -4,9 +4,11 @@ refuses: a ``tol_scale`` that is not positive and finite is a
 before any decomposition, a value that must be a positive integer
 dividing L is refused as such wherever it is read, sample arrays that are
 not numbers are a ``ShapeMismatchError`` wherever they are read, and a
-window with a nan or inf sample reaches no decomposition."""
+window, sequence or signal with a nan or inf sample reaches no
+decomposition."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from gaborkit import (
     sweep,
     synthesis_map,
     tf_shift,
+    twisted_invert,
     wexler_raz_dual,
 )
 from gaborkit.tolerances import _lattice_cutoff
@@ -284,8 +287,35 @@ def test_reconstruction_refuses_a_non_finite_signal():
     good = np.ones(16)
     for signals, index in [([_one_bad_sample(np.inf, 16)], 0), ([good, np.full(16, np.nan)], 1),
                            ([np.full(16, np.nan), good], 0)]:
-        with pytest.raises(ShapeMismatchError, match=f"signal {index} is zero or not finite"):
+        with pytest.raises(ShapeMismatchError, match=f"signal {index} has non-finite samples"):
             reconstruction_residual(g, dual, lat, signals)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.0, 1e-160, 1e-200])
+def test_reconstruction_reads_a_finite_signal_of_any_scale(scale):
+    # 1e200 ended in an overflow warning from the norm, 1e-200 was refused
+    # as zero or not finite, and 1e-160 read 0.0.
+    g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(16))
+    lat = SeparableLattice(16, 2, 2)
+    dual = wexler_raz_dual(g, lat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = reconstruction_residual(g, dual, lat, [np.full(16, scale)])
+    assert 0 < residual <= 1e-12
+
+
+@pytest.mark.parametrize("bad", ["all", "one"])
+def test_twisted_invert_refuses_a_non_finite_sequence(linalg_calls, capfd, bad):
+    # LAPACK printed "DLASCL parameter number 4 had an illegal value" and an
+    # all-nan sequence came back.
+    lat = SeparableLattice(12, 2, 3)
+    values = np.full(lat.grid_shape, np.inf) if bad == "all" else np.eye(*lat.grid_shape)
+    values[-1, -1] = np.inf
+    calls = linalg_calls(*LINALG)
+    with pytest.raises(GaborkitError, match="sequence has non-finite samples"):
+        twisted_invert(TwistedSequence(values, lat))
+    assert {called: shapes for called, shapes in calls.items() if shapes} == {}
+    assert capfd.readouterr() == ("", "")
 
 
 def test_sample_arrays_that_are_not_numbers_are_a_shape_mismatch():

@@ -7,8 +7,9 @@ source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
 the value.  A spectra entry keeps only its two decompositions, and the
 zero-padded S and G spectra derived from them have two readers.  Only the
-maps read the window factor; the rest reads its sigma = 0 fiber.  The
-painless maps read neither: a product, an FFT and a roll phase."""
+two maps read the window factor, and S is D after C through them; the
+rest reads its sigma = 0 fiber.  The painless maps read neither: a
+product, an FFT and a roll phase."""
 
 import ast
 from pathlib import Path
@@ -145,13 +146,22 @@ def test_padded_spectra_have_two_readers():
 
 
 def test_only_the_maps_read_the_window_factor():
-    # The spectra, the kernel and the dual read the sigma = 0 fiber alone;
-    # frame_operator_apply keeps the whole factor, so it checks the dual.
-    assert set(calls("_window_factor")) == {
-        ("operators", "coefficient_map"),
-        ("operators", "synthesis_map"),
-        ("operators", "frame_operator_apply"),
+    # The spectra, the kernel and the dual read the sigma = 0 fiber alone.
+    # Each private map has its public map as its one caller, and S is D
+    # after C through the two public maps, on the window's one route, so
+    # frame_operator_apply checks the dual's solve on the fiber.  Only the
+    # dense builders build atoms: cross_gramian is a twisted multiplier.
+    analysis, synthesis = ("operators", "coefficient_map"), ("operators", "synthesis_map")
+    assert set(calls("_window_factor")) == {analysis, synthesis}
+    assert set(calls("_analyze")) == set(calls("_painless_analyze")) == {analysis}
+    assert set(calls("_synthesize")) == set(calls("_painless_synthesize")) == {synthesis}
+    apply = ("operators", "frame_operator_apply")
+    assert apply in calls("coefficient_map") and apply in calls("synthesis_map")
+    assert set(calls("atom_stack")) == {
+        ("operators", "analysis_matrix"),
+        ("operators", "synthesis_matrix"),
     }
+    assert ("diagnostics", "cross_gramian") in calls("_twisted_matrix")
     assert set(calls("_fiber")) == {
         ("operators", "SystemSpectra.synthesis"),
         ("operators", "_synthesis_kernel"),
