@@ -15,8 +15,8 @@ disagreement beyond the flagged marginal band is an alarm.
 Each verdict, bound and refusal is one reading of a spectrum at the
 lattice's one cutoff (:func:`gaborkit.tolerances._reading`): how many of
 the values that must clear it do not, the deciding value and its margin.
-S and G read D's squared at the squared cutoff, one reading that is (ii)
-and (xi), the dual's refusal and the finite condition number.  Each public
+S and G read D's compact spectrum squared at the squared cutoff, one reading
+that is (ii) and (xi), the dual's refusal and the finite condition number.  Each public
 diagnostic takes that cutoff before it reads a spectrum, so a bad
 ``tol_scale`` is refused before any decomposition.  A margin,
 sigma_need/sigma_max or lambda_min/lambda_max over the cutoff, within a
@@ -87,13 +87,13 @@ class EquivalenceVerdict:
 @dataclass
 class DualityRecord:
     """Frame verdict on the lattice vs Riesz verdict on its adjoint, with
-    both spectra for empirical study of the bound relation."""
+    both compact spectra for empirical study of the bound relation."""
 
     frame: bool
     adjoint_riesz: bool
     agree: bool
-    frame_spectrum: np.ndarray = field(repr=False)
-    adjoint_gramian_spectrum: np.ndarray = field(repr=False)
+    frame_spectrum: dict = field(repr=False)
+    adjoint_gramian_spectrum: dict = field(repr=False)
 
 
 #: The fourteen conditions as (measured operator, residual kind): the
@@ -156,11 +156,11 @@ def check_all_conditions(
     # operator -> (missing, deciding, margin) of its spectrum
     readings = {
         "analysis": _reading(spectra.analysis, L, cut),
-        "synthesis": _reading(spectra.synthesis, L, cut),
-        "frame": _reading(spectra.synthesis**2, L, cut2),
+        "synthesis": spectra._read(L, cut),
+        "frame": spectra._read(L, cut2, squared=True),
         "adjoint_analysis": _reading(adjoint.analysis, n_adj, cut),
-        "adjoint_synthesis": _reading(adjoint.synthesis, n_adj, cut),
-        "adjoint_gramian": _reading(adjoint.synthesis**2, n_adj, cut2),
+        "adjoint_synthesis": adjoint._read(n_adj, cut),
+        "adjoint_gramian": adjoint._read(n_adj, cut2, squared=True),
     }
     conditions, residuals, margins = {}, {}, {}
     for key, (operator, kind) in CONDITION_TABLE.items():
@@ -191,10 +191,10 @@ def frame_bounds(
     its nonzero part, which S shares with the lattice Gramian: both are the
     squared singular values of the window-factor blocks, descending."""
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
-    eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
-    missing, lower, _ = _reading(eigs, lattice.L, cut2)
-    rank, upper = lattice.L - missing, float(eigs[0])  # rank: the Riesz rank
-    riesz_sq = (float(eigs[rank - 1]), upper) if rank else (0.0, 0.0)
+    spectra = _spectra_for(g, lattice, spectra)
+    missing, lower, _ = spectra._read(lattice.L, cut2, squared=True)
+    rank, upper = lattice.L - missing, float(np.square(spectra.synthesis[0]))  # Riesz rank
+    riesz_sq = (spectra._read(rank, cut2, squared=True)[1], upper) if rank else (0.0, 0.0)
     condition = upper / lower if not missing else float("inf")
     return BoundsReport(
         frame_lower=lower, frame_upper=upper,
@@ -214,12 +214,12 @@ def wexler_raz_dual(g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *
     blocks (:func:`gaborkit.operators._frame_inverse_apply`).
     """
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
-    eigs = _spectra_for(g, lattice, spectra).synthesis ** 2
-    missing, deciding, _ = _reading(eigs, lattice.L, cut2)
+    spectra = _spectra_for(g, lattice, spectra)
+    missing, deciding, _ = spectra._read(lattice.L, cut2, squared=True)
     if missing:
         raise NotAFrameError(
             "system is not a frame; no dual window",
-            sigma_min=deciding, cutoff=cut2 * float(eigs[0]),
+            sigma_min=deciding, cutoff=cut2 * float(np.square(spectra.synthesis[0])),
         )
     dual = _frame_inverse_apply(g, lattice, window_samples(g))
     label = f"wexler-raz-dual({getattr(g, 'label', '') or 'window'})"
@@ -276,16 +276,18 @@ def duality_check(
     g, lattice: SeparableLattice, tol_scale=DEFAULT_TOL_SCALE, *, spectra=None
 ) -> DualityRecord:
     """The harness's conditions (ii) and (xi) at its cutoff: the frame verdict
-    against the adjoint system's Riesz verdict, with both padded spectra
-    attached."""
+    against the adjoint system's Riesz verdict, with S's and the adjoint
+    Gramian's compact spectra: padded, each is ``zeros`` zeros, then each of
+    its ascending ``values`` ``multiplicity`` times."""
     cut2 = _lattice_cutoff(lattice, tol_scale) ** 2
     spectra = _spectra_for(g, lattice, spectra)
-    adjoint = spectra.adjoint
-    frame = _reading(spectra.synthesis**2, lattice.L, cut2)[0] == 0
-    riesz = _reading(adjoint.synthesis**2, adjoint.lattice.cardinality, cut2)[0] == 0
+    adjoint, n_adj = spectra.adjoint, lattice.a * lattice.b
+    frame = spectra._read(lattice.L, cut2, squared=True)[0] == 0
+    riesz = adjoint._read(n_adj, cut2, squared=True)[0] == 0
     return DualityRecord(
         frame=frame, adjoint_riesz=riesz, agree=frame == riesz,
-        frame_spectrum=spectra.frame, adjoint_gramian_spectrum=adjoint.gramian,
+        frame_spectrum=spectra._compact(lattice.L),
+        adjoint_gramian_spectrum=adjoint._compact(n_adj),
     )
 
 

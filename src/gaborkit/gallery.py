@@ -106,10 +106,19 @@ def _open_output(path, field, **kwargs):
         raise ConfigError(field, f"cannot write {path!r}: {err}")
 
 
+def _finite_samples(g) -> np.ndarray:
+    """``window_samples(g)``; a nan or inf sample is a ShapeMismatchError."""
+    samples = window_samples(g)
+    if fault := _finite_fault(samples, "window"):
+        raise ShapeMismatchError(fault)
+    return samples
+
+
 def save_window(path, samples) -> None:
     """Write a window as ``re<TAB>im`` lines (17 significant digits),
-    formatted in one pass over the interleaved parts."""
-    samples = window_samples(samples)
+    formatted in one pass over the interleaved parts; a window that
+    :func:`load_window` would refuse as non-finite is not written."""
+    samples = _finite_samples(samples)
     if samples.ndim != 1:
         raise ShapeMismatchError(f"a window file holds one vector, got shape {samples.shape}")
     with _open_output(path, "out") as handle:
@@ -221,7 +230,7 @@ def random_window(model, rng, label="random") -> Window:
 def partition_of_unity_deviation(samples, period: int):
     """Return ``(mean, max deviation)`` of the periodized sums
     ``sum_k g[n - period*k]`` over the residues ``n``."""
-    samples = window_samples(samples)
+    samples = _finite_samples(samples)
     if samples.ndim != 1:
         raise ShapeMismatchError(f"samples must be a vector, got shape {samples.shape}")
     L = samples.shape[0]
@@ -252,7 +261,7 @@ def gaussian_alternating_kernel_probe(L: int, window=None) -> AlternatingProbeRe
     step = int(round(np.sqrt(L)))
     if step < 2 or step * step != L:
         raise LatticeError(f"alternating probe needs a perfect square length, got L={L}")
-    g = periodized_gaussian(L) if window is None else window_samples(window)
+    g = periodized_gaussian(L) if window is None else _finite_samples(window)
     lattice = SeparableLattice(L, step, step)
     adjoint = lattice.adjoint()
     k = np.arange(adjoint.n_time)[:, None]

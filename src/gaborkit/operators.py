@@ -35,9 +35,9 @@ through them, on either route, which makes it the check of the dual.  The
 rest reads the ``sigma = 0`` fiber ``W0``, L entries of the window's Zak
 transform and one phase (:func:`_fiber`); block ``sigma`` is ``R W0 B``
 with R and B unitary (:func:`_covariance`).  One batched SVD of the fiber,
-each value q times, is the synthesis spectrum, whose squares are the
-nonzero S and G spectra (:class:`SystemSpectra`; only this module writes
-to an entry); its null vectors moved by R span the kernel, and one p x p
+each value standing for q, is the compact synthesis spectrum, whose squares
+are the nonzero S and G spectra (:class:`SystemSpectra`; only this module
+writes to an entry); its null vectors moved by R span the kernel, and one p x p
 block ``(M/p) W0^H W0`` per ``(nu1, rho)`` solves ``S^-1 f`` through B.
 The analysis spectrum stays dense, so the harness compares dense C against
 the fiber's D, and a lattice's fiber against its adjoint's.
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import GaborkitError, MemoryGuardError, ShapeMismatchError
 from .lattice import SeparableLattice, TwistedSequence, _check_length, _finite_fault, _samples
 from .lattice import root_of_unity
-from .tolerances import _lattice_cutoff, _rank
+from .tolerances import _lattice_cutoff, _rank, _reading
 
 #: Hard cap on total entries of any dense matrix or block stack (~256 MiB
 #: complex): n*L for the analysis spectrum's atom stack.  The spectra, the
@@ -91,12 +91,14 @@ class Window:
     def unit(cls, samples, label=""):
         """Normalize ``samples`` to unit l2 norm and record the original norm.
 
-        An exact power-of-two scaling of ``max|g|`` into [1/2, 1) keeps the sum
-        of squares from underflowing or overflowing; where ``norm(g)`` is
+        An exact power-of-two scaling of the largest real or imaginary part
+        into [1/2, 1) keeps the sum of squares from underflowing or
+        overflowing, even where ``|g|`` itself overflows; where ``norm(g)`` is
         representable the result is bit for bit numpy's ``g / norm(g)``."""
         samples = cls(samples).samples  # a finite nonzero vector
-        exp = math.frexp(float(np.max(np.abs(samples))))[1]
-        scaled = np.ldexp(samples.view(float), -exp).view(complex)
+        parts = samples.view(float)  # the largest part in size, with no temporary
+        exp = math.frexp(max(parts.max(), -parts.min()))[1]
+        scaled = np.ldexp(parts, -exp).view(complex)
         norm = float(np.linalg.norm(scaled))
         # numpy divides by a norm as g * (1/norm); below the smallest normal
         # double, the reciprocal of the unscaled norm overflows.
@@ -306,11 +308,6 @@ def _frame_inverse_apply(g, lattice, f):
     return _unzak(lattice, np.multiply(solved, np.conj(phase), out=solved))
 
 
-def _spectrum(svals, q):
-    """D's spectrum from the fiber's singular values: descending, each q times."""
-    return np.repeat(np.sort(svals, axis=None)[::-1], q)
-
-
 def _synthesis_kernel(g, lattice, tol_scale, spectra):
     """Orthonormal null vectors of the synthesis map on ``lattice``, shape
     (dim, L/a, L/b).  Up to unitary FFTs D is the block diagonal of the
@@ -330,7 +327,7 @@ def _synthesis_kernel(g, lattice, tol_scale, spectra):
     u, svals, _ = _svd(fiber, "kernel block SVD", full_matrices=q > p)
     svals *= scale
     # cached_property keeps a computed spectrum in the instance dict.
-    vars(spectra).setdefault("synthesis", _spectrum(svals, q))
+    vars(spectra).setdefault("synthesis", np.sort(svals, axis=None)[::-1])
     rank = _rank(svals, cut, axis=-1)[:, None, :, None]  # [nu1, sigma, rho, col]
     nu1, sigma, rho, col = np.nonzero(np.broadcast_to(np.arange(q) >= rank, (d, q, c, q)))
     dim = nu1.size
@@ -565,7 +562,7 @@ class SystemSpectra:
     """The spectra of one window on one lattice.  Two are decomposed on
     first use and then kept, singular values (descending) of C, from the
     dense matrix, and of D, from one batched SVD of the fiber, built and
-    dropped; the eigenvalues (ascending) of S and G are D's squared.  The
+    dropped, each value standing for q of D's; S's and G's are D's squared.  The
     root entry, made with no ``table``, refuses a nan or inf window sample.
     ``table`` maps each lattice to the window's live entry (:meth:`on`), so
     each spectrum is computed once per (window, lattice); :attr:`adjoint` is
@@ -595,21 +592,16 @@ class SystemSpectra:
     def adjoint(self) -> "SystemSpectra":
         return self.on(self.lattice.adjoint())
 
-    def _squared_synthesis(self, size, what):
-        """:attr:`synthesis` squared, ascending, after ``size - min(L, n)`` zeros."""
-        _guard_dense(self.lattice.L + size, what)
-        svals = self.synthesis
-        return np.concatenate([np.zeros(size - svals.size), svals[::-1] ** 2])
+    def _read(self, need, cutoff, squared=False):
+        """:func:`_reading` of D's spectrum, or of S's and G's when ``squared``."""
+        values = self.synthesis**2 if squared else self.synthesis
+        return _reading(values, need, cutoff, _factor_sizes(self.lattice)[2])
 
-    @property
-    def frame(self) -> np.ndarray:
-        """Eigenvalues of ``S = D C = D D^H``; no L x L matrix is built."""
-        return self._squared_synthesis(self.lattice.L, "frame spectrum")
-
-    @property
-    def gramian(self) -> np.ndarray:
-        """Eigenvalues of ``G = C D = D^H D``; no n x n matrix is built."""
-        return self._squared_synthesis(self.lattice.cardinality, "Gramian spectrum")
+    def _compact(self, size):
+        """S's spectrum (``size`` L) or G's (n): D's squared, ascending, each
+        ``multiplicity`` times after ``zeros`` exact zeros."""
+        eigs, q = self.synthesis[::-1] ** 2, _factor_sizes(self.lattice)[2]
+        return {"values": eigs, "multiplicity": q, "zeros": size - q * eigs.size}
 
     @cached_property
     def analysis(self) -> np.ndarray:
@@ -617,12 +609,11 @@ class SystemSpectra:
 
     @cached_property
     def synthesis(self) -> np.ndarray:
-        """D's ``min(L, n)`` singular values: the ``sigma = 0`` fiber's, each q times."""
+        """The fiber's ``d*c*min(p, q)`` singular values, descending, each q of D's."""
         lattice = self.lattice
         _guard_dense(lattice.L + min(lattice.L, lattice.cardinality), "synthesis blocks")
         fiber, scale = _fiber(self.g, lattice)
-        svals = scale * _svd(fiber, "synthesis blocks", compute_uv=False)
-        return _spectrum(svals, _factor_sizes(lattice)[2])
+        return np.sort(scale * _svd(fiber, "synthesis blocks", compute_uv=False), axis=None)[::-1]
 
 
 def _spectra_for(g, lattice: SeparableLattice, spectra=None) -> SystemSpectra:

@@ -42,10 +42,10 @@ from .gallery import (
 from .lattice import FiniteModel, SeparableLattice, _length_fault, _step_fault
 from .operators import SystemSpectra, Window, _synthesis_kernel, frame_operator_apply
 from .operators import operator_norms, synthesis_map
-from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff, _reading
+from .tolerances import DEFAULT_TOL_SCALE, _check_tol_scale, _lattice_cutoff
 from .twisted import janssen_coefficients
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 DEFAULT_SEED = 20200313
 
@@ -210,7 +210,7 @@ def _task_index(g, lattice, config, rng, spectra):
     cutoff: on a commuting adjoint it is the index, else an upper-bound surrogate."""
     adjoint = spectra.adjoint
     cut = _lattice_cutoff(adjoint.lattice, config.tol_scale)
-    count = _reading(adjoint.synthesis, adjoint.lattice.cardinality, cut)[0]
+    count = adjoint._read(adjoint.lattice.cardinality, cut)[0]
     index = count if adjoint.lattice.has_commuting_shifts else None
     return {"commutative": index is not None, "kernel_dimension_surrogate": count, "index": index}
 
@@ -313,18 +313,20 @@ def run(config: AnalysisConfig) -> DiagnosticsReport:
             handle.write(report.to_json())
             handle.write("\n")
     if config.spectra:
-        _write_spectra(config.spectra, spectra)
+        _write_spectra(config.spectra, duality_check(g, lattice, config.tol_scale, spectra=spectra))
     return report
 
 
-def _write_spectra(path, spectra):
+def _write_spectra(path, record):
+    """The duality record's two spectra, padded: the one place a spectrum is expanded."""
     with _open_output(path, "spectra", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["kind", "index", "eigenvalue"])
-        for i, value in enumerate(spectra.frame):
-            writer.writerow(["frame_operator", i, f"{value:.17g}"])
-        for i, value in enumerate(spectra.adjoint.gramian):
-            writer.writerow(["adjoint_gramian", i, f"{value:.17g}"])
+        for kind, spectrum in (("frame_operator", record.frame_spectrum),
+                               ("adjoint_gramian", record.adjoint_gramian_spectrum)):
+            repeated = np.repeat(spectrum["values"], spectrum["multiplicity"])
+            padded = np.concatenate([np.zeros(spectrum["zeros"]), repeated])
+            writer.writerows([kind, i, f"{value:.17g}"] for i, value in enumerate(padded))
 
 
 def divisor_pairs(length: int):

@@ -65,12 +65,14 @@ def _rank(values, cutoff, axis=None):
     return np.count_nonzero(values > cutoff * values.max(), axis=axis)
 
 
-def _reading(values, need, cutoff):
-    """``(missing, deciding, margin)`` of a descending spectrum ``values``
-    of which ``need`` must exceed ``cutoff`` times the largest: how many of
-    them do not, the ``need``-th largest (zero past the end), and that value,
-    clipped at zero, over the largest over the cutoff (>1 held, <1 failed)."""
-    missing = need - int(_rank(values[:need], cutoff))
-    deciding = float(values[need - 1]) if values.size >= need else 0.0
+def _reading(values, need, cutoff, multiplicity=1):
+    """``(missing, deciding, margin)`` of a spectrum stored as ``values``,
+    descending, each standing for ``multiplicity``, of which ``need`` must
+    exceed ``cutoff`` times the largest: how many do not, the ``need``-th
+    largest (zero past the end), and that value, clipped at zero, over the
+    largest over the cutoff (>1 held, <1 failed)."""
+    missing = need - min(need, multiplicity * int(_rank(values, cutoff)))
+    index = (need - 1) // multiplicity
+    deciding = float(values[index]) if values.size > index else 0.0
     margin = max(deciding, 0.0) / float(values[0]) / cutoff if values[0] > 0 else 0.0
     return missing, deciding, margin

@@ -32,7 +32,7 @@ from .errors import NonCommutativeLatticeError, ShapeMismatchError, SingularAlge
 from .lattice import SeparableLattice, TwistedSequence, _finite_fault, root_of_unity
 from .operators import _guard_dense, _spectra_for, _svd, _synthesis_kernel, _twisted_matrix
 from .operators import shift_autocorrelation
-from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, _reading, rank_tolerance
+from .tolerances import DEFAULT_TOL_SCALE, _lattice_cutoff, rank_tolerance
 
 
 def right_multiplier_matrix(a: TwistedSequence) -> np.ndarray:
@@ -154,4 +154,4 @@ def index_commutative(
             "non-commuting shifts; the character index is defined only in the "
             "commutative case"
         )
-    return _reading(_spectra_for(g, lattice, spectra).synthesis, lattice.cardinality, cut)[0]
+    return _spectra_for(g, lattice, spectra)._read(lattice.cardinality, cut)[0]

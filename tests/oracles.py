@@ -152,3 +152,27 @@ def translate_window_factor(L, a, b, g):
         zak[k0] = dft @ translate.reshape(b, M)
     # [k0, nu2, nu1, sigma, rho] -> [nu1, sigma, rho, k0, nu2]
     return np.conj(zak).reshape(q, p, d, q, c).transpose(2, 3, 4, 0, 1)
+
+
+def padded_spectrum(values, multiplicity, zeros=0):
+    """A compact spectrum written out in full: ``zeros`` exact zeros, then
+    each of ``values``, in order, ``multiplicity`` times."""
+    out = [0.0] * zeros
+    for value in values:
+        out += [float(value)] * multiplicity
+    return np.array(out)
+
+
+def naive_reading(values, need, cutoff):
+    """``(missing, deciding, margin)`` of a padded descending spectrum,
+    value by value: how many of its first ``need`` values are at most
+    ``cutoff`` times the largest, the ``need``-th value (zero past the end)
+    and that value, clipped at zero, over the largest over the cutoff."""
+    largest = float(values[0])
+    missing = need
+    for value in values[:need]:
+        if value > cutoff * largest:
+            missing -= 1
+    deciding = float(values[need - 1]) if len(values) >= need else 0.0
+    margin = max(deciding, 0.0) / largest / cutoff if largest > 0 else 0.0
+    return missing, deciding, margin

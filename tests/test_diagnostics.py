@@ -42,7 +42,7 @@ from fixtures import (
     CRITICAL_L16_RIESZ_LOWER_SQ,
     CRITICAL_L16_RIESZ_UPPER_SQ,
 )
-from oracles import naive_stft_norm
+from oracles import naive_stft_norm, padded_spectrum
 
 
 def delta_window(L):
@@ -256,8 +256,8 @@ def test_duality_sweep_L24_gaussian():
         for b in divisors:
             record = duality_check(g, SeparableLattice(L, a, b))
             assert record.agree, (a, b)
-            assert record.frame_spectrum.shape == (L,)
-            assert record.adjoint_gramian_spectrum.shape == (a * b,)
+            assert padded_spectrum(**record.frame_spectrum).shape == (L,)
+            assert padded_spectrum(**record.adjoint_gramian_spectrum).shape == (a * b,)
 
 
 def test_duality_spectra_share_scaled_nonzero_extremes(rng):
@@ -267,8 +267,9 @@ def test_duality_spectra_share_scaled_nonzero_extremes(rng):
     lat = SeparableLattice(16, 2, 2)
     g = random_unit_window(rng, 16)
     record = duality_check(g, lat)
-    nz_frame = record.frame_spectrum[record.frame_spectrum > 1e-8]
-    nz_gram = record.adjoint_gramian_spectrum[record.adjoint_gramian_spectrum > 1e-8]
+    frame = padded_spectrum(**record.frame_spectrum)
+    gram = padded_spectrum(**record.adjoint_gramian_spectrum)
+    nz_frame, nz_gram = frame[frame > 1e-8], gram[gram > 1e-8]
     assert np.isclose(nz_gram.min(), lat.covolume * nz_frame.min(), rtol=1e-9)
     assert np.isclose(nz_gram.max(), lat.covolume * nz_frame.max(), rtol=1e-9)
 
@@ -323,8 +324,9 @@ def test_shared_spectra_give_identical_results(rng, linalg_calls, L, a, b):
         return {
             "bounds": frame_bounds(g, lat, **kwargs),
             "verdict": verdict,
-            "frame_spectrum": duality.frame_spectrum.tolist(),
-            "adjoint_gramian_spectrum": duality.adjoint_gramian_spectrum.tolist(),
+            "frame_spectrum": padded_spectrum(**duality.frame_spectrum).tolist(),
+            "adjoint_gramian_spectrum":
+                padded_spectrum(**duality.adjoint_gramian_spectrum).tolist(),
             "norms": operator_norms(g, lat, **kwargs),
             "dual": wexler_raz_dual(g, lat, **kwargs).samples.tolist() if verdict.frame else None,
         }

@@ -11,23 +11,27 @@ import numpy as np
 import pytest
 
 from gaborkit import (
+    FiniteModel,
     MemoryGuardError,
     NotAFrameError,
     SeparableLattice,
     SystemSpectra,
     TwistedSequence,
     Window,
+    WindowRecipe,
     analysis_matrix,
     atom_stack,
     check_all_conditions,
     coefficient_map,
     cross_gramian,
     divisor_pairs,
+    duality_check,
     frame_operator_apply,
     frame_operator_matrix,
     gramian_matrix,
     index_commutative,
     kernel_basis,
+    make_window,
     modulation_norm_proxy,
     periodized_gaussian,
     represent,
@@ -53,9 +57,10 @@ from gaborkit.operators import (
     _window_factor,
     _zak,
 )
-from gaborkit.tolerances import margin_cutoff
+from gaborkit.tolerances import _reading, margin_cutoff
 from conftest import dense_gramian_spectrum, random_signal, random_unit_window
-from oracles import naive_character_residuals, translate_window_factor
+from oracles import naive_character_residuals, naive_reading, padded_spectrum
+from oracles import translate_window_factor
 
 MAX_ORACLE_LENGTH = 48
 
@@ -549,20 +554,26 @@ def test_kernel_basis_memory_guard(monkeypatch, capsys):
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_gramian_spectrum_matches_dense_on_every_divisor_lattice(L):
     # And the frame spectrum: both are the squared synthesis spectrum,
-    # padded with exact zeros to n and to L.  The zeros must fall below the
-    # harness's cutoff wherever the dense eigenvalues do (iv and xiii).
+    # compact in the duality record, which pads them with exact zeros to n
+    # (as the adjoint's adjoint Gramian) and to L.  The zeros must fall
+    # below the harness's cutoff wherever the dense eigenvalues do (iv and xiii).
     rng = np.random.default_rng(300 + L)
     for lat in divisor_lattices(L):
         cut2 = lattice_cutoff(lat) ** 2
         for name, g in oracle_windows(rng, L).items():
             spectra = SystemSpectra(g, lat)
+            compact = {
+                "gramian": duality_check(g, lat.adjoint(), spectra=spectra.adjoint)
+                .adjoint_gramian_spectrum,
+                "frame": duality_check(g, lat, spectra=spectra).frame_spectrum,
+            }
             dense = {
                 "gramian": dense_gramian_spectrum(gramian_matrix(g, lat), L, rng),
                 "frame": (np.linalg.eigvalsh(frame_operator_matrix(g, lat)), 0.0),
             }
             for kind, (want, slack) in dense.items():
                 where = f"{kind} spectrum, {name} window on (L, a, b) = {(L, lat.a, lat.b)}"
-                got = getattr(spectra, kind)
+                got = padded_spectrum(**compact[kind])
                 assert got.shape == want.shape, where
                 assert np.abs(got - want).max() + slack <= 1e-13 * want[-1], where
                 deficiency = [np.count_nonzero(s <= cut2 * s[-1]) for s in (got, want)]
@@ -607,6 +618,35 @@ def test_commands_build_no_synthesis_matrix(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
+def test_compact_readings_equal_padded_readings_on_every_divisor_lattice(L):
+    # Reading the fiber's values by multiplicity is reading D's padded
+    # spectrum value by value, bit for bit: the missing count, the deciding
+    # value and the margin, of D and of D squared (S and the Gramian), on
+    # the lattice and its adjoint, with as many values needed as each
+    # verdict needs (L, n and the adjoint's n').
+    rng = np.random.default_rng(900 + L)
+    model = FiniteModel(L)
+    windows = {"random": random_unit_window(rng, L)}
+    for recipe in ("delta", "periodized_gaussian", "bspline:1:4", "bspline:2:4"):
+        if not WindowRecipe.parse(recipe).fault(L):
+            windows[recipe] = make_window(WindowRecipe.parse(recipe), model)
+    for lat in divisor_lattices(L):
+        cut = lattice_cutoff(lat)
+        needs = {L, lat.cardinality, lat.a * lat.b}
+        for name, g in windows.items():
+            spectra = SystemSpectra(g, lat)
+            for entry in (spectra, spectra.adjoint):
+                q = _factor_sizes(entry.lattice)[2]
+                for power, cutoff in ((1, cut), (2, cut**2)):
+                    compact = entry.synthesis**power
+                    padded = padded_spectrum(compact, q)
+                    for need in needs:
+                        where = f"{name} on {(L, lat.a, lat.b)}, {entry.lattice}, ^{power}, {need}"
+                        got = _reading(compact, need, cutoff, q)
+                        assert got == naive_reading(padded, need, cutoff), where
+
+
+@pytest.mark.parametrize("L", range(2, MAX_ORACLE_LENGTH + 1))
 def test_synthesis_spectrum_matches_dense_on_every_divisor_lattice(L):
     rng = np.random.default_rng(400 + L)
     for lat in divisor_lattices(L):
@@ -614,7 +654,7 @@ def test_synthesis_spectrum_matches_dense_on_every_divisor_lattice(L):
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             want = np.linalg.svd(synthesis_matrix(g, lat), compute_uv=False)
             spectra = SystemSpectra(g, lat)
-            got = spectra.synthesis
+            got = padded_spectrum(spectra.synthesis, _factor_sizes(lat)[2])
             assert got.shape == want.shape == (min(L, lat.cardinality),), where
             assert np.abs(got - want).max() <= 1e-13 * want[0], where
             # C = D^H entry for entry, so the dense analysis spectrum is D's.
@@ -627,13 +667,14 @@ def test_fiber_spectrum_matches_the_full_factor_on_every_divisor_lattice(L):
     # so the sigma = 0 fiber's, each q times, are those of all q*L entries.
     rng = np.random.default_rng(800 + L)
     for lat in divisor_lattices(L):
+        q = _factor_sizes(lat)[2]
         for name, g in oracle_windows(rng, L).items():
             where = f"{name} window on (L, a, b) = {(L, lat.a, lat.b)}"
             blocks, scale = _window_factor(g, lat)
             full = scale * np.linalg.svd(blocks, compute_uv=False)  # [nu1, sigma, rho, i]
             sigma_max = full.max()
             assert np.abs(full - full[:, :1]).max() <= 1e-13 * sigma_max, where
-            got = SystemSpectra(g, lat).synthesis
+            got = padded_spectrum(SystemSpectra(g, lat).synthesis, q)
             assert got.shape == (full.size,), where
             assert np.abs(got - np.sort(full, axis=None)[::-1]).max() <= 1e-13 * sigma_max, where
 
@@ -647,13 +688,13 @@ def test_synthesis_decomposes_only_the_sigma_zero_fiber(rng, linalg_calls, L, a,
     c, p, q, d = _factor_sizes(lat)
     svd = linalg_calls("svd")["svd"]
     spectra = SystemSpectra(random_unit_window(rng, L), lat)
-    assert spectra.synthesis.size == min(L, lat.cardinality)
+    assert spectra.synthesis.size == d * c * min(p, q)
+    assert padded_spectrum(spectra.synthesis, q).size == min(L, lat.cardinality)
     assert svd == [(d, c, q, p)] and d * c * q * p == L
-    # S and G are derived on each read, with no second decomposition, and
-    # never kept beside the fiber.
-    assert spectra.frame is not spectra.frame and spectra.gramian is not spectra.gramian
-    assert set(vars(spectra)) & {"frame", "gramian"} == set()
-    assert svd == [(d, c, q, p)]
+    # S is D's spectrum squared, compact, with no second decomposition of
+    # the lattice (the duality record decomposes the adjoint's fiber).
+    assert duality_check(spectra.g, lat, spectra=spectra).frame_spectrum["multiplicity"] == q
+    assert svd[0] == (d, c, q, p) and len(svd) == (1 if a * b == L else 2)
 
 
 @pytest.mark.parametrize("L, a, b", [(48, 8, 4), (12, 4, 4), (24, 4, 2), (16, 4, 8), (24, 3, 6)])
@@ -666,54 +707,65 @@ def test_kernel_decomposes_only_the_sigma_zero_fiber(rng, linalg_calls, L, a, b)
     svd = linalg_calls("svd")["svd"]
     spectra = SystemSpectra(random_unit_window(rng, L), lat)
     basis = kernel_basis(spectra.g, lat, spectra=spectra)
-    svals = spectra.synthesis
+    svals = padded_spectrum(spectra.synthesis, q)
     assert len(basis) == lat.cardinality - np.sum(svals > lattice_cutoff(lat) * svals[0])
     assert svd == [(d, c, q, p)]
 
 
 def test_synthesis_blocks_memory_guard(monkeypatch):
     # (1, 1) at L = 4096: q = 4096, but the fiber holds L entries and D has
-    # L singular values, so 2*L fit far under the cap.
-    assert SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).synthesis.shape == (4096,)
+    # L singular values, so 2*L fit far under the cap; the entry keeps one.
+    spectra = SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1))
+    assert padded_spectrum(spectra.synthesis, 4096).shape == (4096,)
+    assert spectra.synthesis.shape == (1,)
     # (2, 2) at L = 16: the fiber holds 16 entries and D has min(16, 64) = 16
-    # singular values.
+    # singular values, q = 4 times each of the fiber's 4.
     g = random_unit_window(np.random.default_rng(13), 16)
     lat = SeparableLattice(16, 2, 2)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 32)
-    assert SystemSpectra(g, lat).synthesis.shape == (16,)
+    assert padded_spectrum(SystemSpectra(g, lat).synthesis, 4).shape == (16,)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 31)
     with pytest.raises(MemoryGuardError, match="synthesis blocks would need 32 entries"):
         SystemSpectra(g, lat).synthesis
 
 
 def test_gramian_blocks_memory_guard(monkeypatch):
-    # (1, 1) at L = 4096: the fiber and the n = 4096^2 eigenvalues need
-    # 4096 + 4096^2 entries; refused before anything is allocated.
-    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 16781312 entries"):
-        SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).gramian
-    # (2, 2) at L = 16: the fiber holds 16 entries and G has n = 64 eigenvalues.
+    # The Gramian spectrum is the compact synthesis spectrum squared, so it
+    # charges only the synthesis blocks, never its n eigenvalues.  (1, 1) at
+    # L = 4096, as the adjoint of (4096, 4096): n = 4096^2 eigenvalues, one
+    # value q = 4096 times after n - 4096 zeros, under a cap of 2*L.
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 8192)
+    compact = duality_check(np.ones(4096), SeparableLattice(4096, 4096, 4096))
+    spectrum = compact.adjoint_gramian_spectrum
+    assert (spectrum["values"].size, spectrum["multiplicity"]) == (1, 4096)
+    assert spectrum["zeros"] == 4096**2 - 4096
+    # (2, 2) at L = 16, as the adjoint of (8, 8): the fiber holds 16 entries
+    # and G has n = 64 eigenvalues; (8, 8) charges 16 + 4.
     g = random_unit_window(np.random.default_rng(11), 16)
-    lat = SeparableLattice(16, 2, 2)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 80)
-    assert SystemSpectra(g, lat).gramian.shape == (64,)
-    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 79)
-    with pytest.raises(MemoryGuardError, match="Gramian spectrum would need 80 entries"):
-        SystemSpectra(g, lat).gramian
+    lat = SeparableLattice(16, 8, 8)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 32)
+    assert padded_spectrum(**duality_check(g, lat).adjoint_gramian_spectrum).shape == (64,)
+    monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 31)
+    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 32 entries"):
+        duality_check(g, lat)
 
 
 def test_frame_spectrum_and_dual_memory_guards(monkeypatch):
-    # (1, 1) at L = 4096: the fiber and the L eigenvalues of S, 2*L entries.
-    assert SystemSpectra(np.ones(4096), SeparableLattice(4096, 1, 1)).frame.shape == (4096,)
+    # (1, 1) at L = 4096: the fiber and the L singular values of D, 2*L
+    # entries; S's L eigenvalues are one value q = 4096 times.
+    spectrum = duality_check(np.ones(4096), SeparableLattice(4096, 1, 1)).frame_spectrum
+    assert padded_spectrum(**spectrum).shape == (4096,)
     # (8, 4) at L = 48: (c, p, q, d) = (4, 2, 3, 2), so the fiber holds 48
-    # entries and S has 48 eigenvalues; the dual holds the fiber, the Zak
+    # entries and D has 48 singular values, as S has eigenvalues (its
+    # adjoint (12, 6) charges 48 + 32); the dual holds the fiber, the Zak
     # transform of g (48 each) and d*c = 8 Gram blocks of 2 x 2, 128 in all.
     g = random_unit_window(np.random.default_rng(17), 48)
     lat = SeparableLattice(48, 8, 4)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 96)
-    assert SystemSpectra(g, lat).frame.shape == (48,)
+    assert padded_spectrum(**duality_check(g, lat).frame_spectrum).shape == (48,)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 95)
-    with pytest.raises(MemoryGuardError, match="frame spectrum would need 96 entries"):
-        SystemSpectra(g, lat).frame
+    with pytest.raises(MemoryGuardError, match="synthesis blocks would need 96 entries"):
+        duality_check(g, lat)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 128)
     assert wexler_raz_dual(g, lat).samples.shape == (48,)
     monkeypatch.setattr(operators, "MAX_DENSE_ENTRIES", 127)

@@ -10,6 +10,7 @@ from gaborkit import (
     LatticeError,
     PartitionOfUnityError,
     SeparableLattice,
+    ShapeMismatchError,
     Window,
     WindowRecipe,
     check_all_conditions,
@@ -19,6 +20,7 @@ from gaborkit import (
     partition_of_unity_kernel,
     periodized_gaussian,
     random_window,
+    save_window,
     synthesis_map,
 )
 from gaborkit.gallery import _box_product
@@ -283,6 +285,24 @@ def test_pou_kernel_validation_errors():
             partition_of_unity_kernel(g, pou_period=4, phases=2, time_step=step)
     with pytest.raises(LatticeError):  # the step is refused before the window is read
         partition_of_unity_kernel(gauss, pou_period=4, phases=2, time_step=3)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf)])
+def test_window_readers_refuse_non_finite_samples(tmp_path, bad):
+    # A bspline that partitions unity at period 4, with one sample spoiled:
+    # each reader refuses it before any arithmetic, so nothing warns.
+    g = make_window(WindowRecipe("bspline", order=1, widths=(4,)), FiniteModel(16)).samples.copy()
+    g[5] = bad
+    readers = {
+        "deviation": lambda: partition_of_unity_deviation(g, 4),
+        "kernel": lambda: partition_of_unity_kernel(g, pou_period=4, phases=2),
+        "probe": lambda: gaussian_alternating_kernel_probe(16, window=g),
+        "save": lambda: save_window(tmp_path / "spoiled.txt", g),
+    }
+    for name, read in readers.items():
+        with pytest.raises(ShapeMismatchError, match="window has non-finite samples"):
+            read()
+    assert not (tmp_path / "spoiled.txt").exists()
 
 
 def test_gallery_frame_region_gaussian_redundancy_two_plus():

@@ -59,6 +59,14 @@ def test_window_unit_extreme_scales(rng):
         assert np.isclose(w.original_norm, value * 2**0.5, rtol=1e-15)  # inf at 1.7e308
 
 
+def test_window_unit_complex_modulus_beyond_the_double_range():
+    # Each part is finite but |1.5e308 * (1 + 1j)| overflows: the scaling
+    # reads the largest part, so nothing overflows and the norm is inf.
+    w = Window.unit(np.full(4, 1.5e308 * (1 + 1j)))
+    assert np.allclose(w.samples, (1 + 1j) / (2 * np.sqrt(2)), rtol=1e-15, atol=0)
+    assert w.original_norm == np.inf
+
+
 def test_coefficients_delta_full_lattice():
     L = 6
     lat = SeparableLattice(L, 1, 1)

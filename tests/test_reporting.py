@@ -96,7 +96,7 @@ def test_run_onb_case(tmp_path):
     assert report.results["conditions"].all_true
     assert not consistency_alarm(report)
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["results"]["conditions"]["consistent"] is True
     assert payload["config"]["window"] == "delta"
 

@@ -42,6 +42,7 @@ from gaborkit import (
     SeparableLattice,
     SystemSpectra,
     WindowRecipe,
+    duality_check,
     frame_bounds,
     index_commutative,
     margin_cutoff,
@@ -52,6 +53,7 @@ from gaborkit import (
 )
 from gaborkit.cli import main
 from gaborkit.operators import _factor_sizes, _frame_inverse_apply
+from oracles import padded_spectrum
 
 #: Frame bounds over redundancy of the periodized Gaussian on (n, n), L = 2n^2.
 GAUSSIAN_A_OVER_R = 0.83462684167407
@@ -109,7 +111,7 @@ def painless_system(recipe, L, a, b):
 def test_painless_synthesis_spectrum_is_the_walnut_diagonal():
     L = 65536
     g, lattice, walnut = painless_system("bspline:2:64", L, 64, 256)  # support 127 <= M = 256
-    svals = SystemSpectra(g, lattice).synthesis
+    svals = padded_spectrum(SystemSpectra(g, lattice).synthesis, _factor_sizes(lattice)[2])
     assert svals.shape == (L,)
     assert svals[-1] ** 2 == pytest.approx(walnut.min(), rel=1e-13)
     assert svals[0] ** 2 == pytest.approx(walnut.max(), rel=1e-13)
@@ -148,7 +150,7 @@ def half_density_gaussian(L):
     assert 2 * n * n == L
     g = make_window(WindowRecipe("periodized_gaussian"), FiniteModel(L))
     lattice = SeparableLattice(L, n, n)
-    eigs = SystemSpectra(g, lattice).adjoint.gramian
+    eigs = padded_spectrum(**duality_check(g, lattice).adjoint_gramian_spectrum)
     return g, lattice, eigs[0], eigs[-1]
 
 
@@ -260,3 +262,43 @@ def test_frame_bounds_at_a_million_samples_in_a_child(a, b):
     seconds, peak_mib = map(float, done.stdout.split())
     assert peak_mib < 200, f"peak {peak_mib:.0f} MiB"
     assert seconds < 5, f"{seconds:.2f} s"
+
+
+ANALYZE_CHILD = """
+import re, sys, time
+from gaborkit.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    print(code, seconds, int(re.search(r"VmHWM:\\s*(\\d+) kB", status.read()).group(1)) / 1024)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_duality_report_at_a_million_samples_is_compact(tmp_path):
+    # On (64, 128), L/(a*b) = 128: S has L = 2^20 eigenvalues, the fiber's
+    # 8192 values squared 128 times each, and the adjoint Gramian on
+    # (8192, 16384) has a*b = 8192, each once.  By the Ron-Shen / Janssen
+    # duality the two lists agree up to L/(a*b).  Measured 0.5-0.7 s, 101 MiB
+    # and a 0.48 MB report.
+    out = tmp_path / "report.json"
+    argv = ["analyze", "-L", "1048576", "--lattice", "64,128", "--tasks", "duality,index",
+            "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-c", ANALYZE_CHILD, *argv],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    code, seconds, peak_mib = done.stdout.split()
+    assert int(code) == 0, done.stderr
+    assert out.stat().st_size < 10**6
+    assert float(peak_mib) < 128, f"peak {float(peak_mib):.0f} MiB"
+    assert float(seconds) < 5, f"{float(seconds):.2f} s"
+    duality = json.loads(out.read_text())["results"]["duality"]
+    frame, gramian = duality["frame_spectrum"], duality["adjoint_gramian_spectrum"]
+    assert (frame["multiplicity"], frame["zeros"]) == (128, 0)
+    assert (gramian["multiplicity"], gramian["zeros"]) == (1, 0)
+    frame, gramian = np.array(frame["values"]), np.array(gramian["values"])
+    assert frame.shape == gramian.shape == (8192,)
+    assert np.abs(frame - 128 * gramian).max() <= 1e-13 * frame.max()
+    assert duality["frame"] and duality["adjoint_riesz"] and duality["agree"]

@@ -5,9 +5,9 @@ bound, refusal and count is one ``tolerances._reading``, so ``_rank`` has
 that one caller and the kernel's per-block count.  Read from the
 source with :mod:`ast`, so a call is found however the module runs.  Each
 input rule's message, too, is written at one site, in the module that owns
-the value.  A spectra entry keeps only its two decompositions, and the
-zero-padded S and G spectra derived from them have two readers.  Only the
-two maps read the window factor, and S is D after C through them; the
+the value.  A spectra entry keeps only its two decompositions, D's as the
+fiber's values each standing for q, and only the spectra CSV writes a
+spectrum out in full, zeros and repeats.  Only the two maps read the window factor, and S is D after C through them; the
 rest reads its sigma = 0 fiber.  The painless maps read neither: a
 product, an FFT and a roll phase."""
 
@@ -52,6 +52,19 @@ class _Calls(_Scoped):
         func = node.func
         called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if called in self.aliases:
+            self._record()
+        self.generic_visit(node)
+
+
+class _Keys(_Scoped):
+    """The enclosing scope of every read of a constant subscript in ``keys``."""
+
+    def __init__(self, keys):
+        super().__init__()
+        self.keys = keys
+
+    def visit_Subscript(self, node):
+        if isinstance(node.ctx, ast.Load) and getattr(node.slice, "value", None) in self.keys:
             self._record()
         self.generic_visit(node)
 
@@ -138,11 +151,18 @@ def test_spectra_cache_only_their_two_decompositions():
     assert cached == {"analysis", "synthesis"}
 
 
-def test_padded_spectra_have_two_readers():
-    # Every verdict, bound and refusal reads the synthesis spectrum squared;
-    # the padded S and G spectra are for the duality record and the CSV.
-    readers = set(_found(lambda: _Reads({"frame", "gramian"})))
-    assert readers == {("diagnostics", "duality_check"), ("reporting", "_write_spectra")}
+def test_only_write_spectra_expands_a_spectrum():
+    # Every verdict, bound and refusal reads the compact synthesis spectrum,
+    # or its square, at its multiplicity; the duality record carries S and
+    # the adjoint Gramian compact, and the CSV alone writes them padded.
+    tree = ast.parse((SRC / "operators.py").read_text())
+    (spectra,) = [node for node in tree.body if getattr(node, "name", "") == "SystemSpectra"]
+    members = {node.name for node in spectra.body if isinstance(node, ast.FunctionDef)}
+    assert members.isdisjoint({"frame", "gramian", "_squared_synthesis"})
+    write = ("reporting", "_write_spectra")
+    assert set(_found(lambda: _Keys({"multiplicity", "zeros"}))) == {write}
+    # The lattice repeats grid indices, not a spectrum.
+    assert set(calls("repeat")) == {("lattice", "SeparableLattice.points"), write}
 
 
 def test_only_the_maps_read_the_window_factor():
